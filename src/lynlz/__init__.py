@@ -37,8 +37,8 @@ from .domains import (
 )
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize, oracle_lyndon_dp
-from .lz import LZFactorization, contains_boundary, lz_factorize, oracle_lz_naive
-from .text import EQUAL, GREATER, LESS, Span, is_lyndon, leftmost_occurrence, lex_compare
+from .lz import LZFactorization, lz_factorize, oracle_lz_naive
+from .text import Span, is_lyndon, leftmost_occurrence
 
 __version__ = "0.1.0"
 
@@ -47,12 +47,9 @@ __all__ = [
     "CanonicalDecomposition",
     "Cluster",
     "Domain",
-    "EQUAL",
     "ExtdomPartition",
     "FamilyCounts",
-    "GREATER",
     "IntegrityError",
-    "LESS",
     "LemmaCheck",
     "LemmaReport",
     "LyndonFactorization",
@@ -68,7 +65,6 @@ __all__ = [
     "canonical_decomposition",
     "check_theorem",
     "compute_domain",
-    "contains_boundary",
     "default_jobs",
     "exhaustive_search",
     "expected_counts",
@@ -81,7 +77,6 @@ __all__ = [
     "is_lyndon",
     "iter_search",
     "leftmost_occurrence",
-    "lex_compare",
     "lyndon_factorize",
     "lz_factorize",
     "oracle_lyndon_dp",

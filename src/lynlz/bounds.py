@@ -11,15 +11,11 @@ from itertools import product
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .domains import Domain, _dom1_partition, _domain_table, extended_domain, verify_lemmas
+from .domains import Domain, _dom1_partition, extended_domain, verify_lemmas
 from .errors import IntegrityError
 from .lyndon import lyndon_factorize
 from .lz import lz_factorize
 from .text import Span
-
-
-def _ceil_half(x: int) -> int:
-    return (x + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -56,17 +52,17 @@ def extdom_partition(s: bytes) -> ExtdomPartition:
     """Partition ``s`` as extdom_1(F_{i_1}) ... extdom_1(F_{i_t}) with i_t = m."""
     if not s:
         raise ValueError("partition undefined for empty input")
-    lf = lyndon_factorize(s)
-    return ExtdomPartition(domains=tuple(_dom1_partition(lf, _domain_table(lf))))
+    return ExtdomPartition(domains=tuple(_dom1_partition(lyndon_factorize(s))))
 
 
 def check_theorem(s: bytes) -> TheoremReport:
     """Compute both factorization sizes and the m < 2z verdict."""
     if not s:
         raise ValueError("theorem check undefined for empty input")
-    m = lyndon_factorize(s).m
+    lf = lyndon_factorize(s)
+    m = lf.m
     z = lz_factorize(s).z
-    t = extdom_partition(s).t
+    t = len(_dom1_partition(lf))
     return TheoremReport(m=m, z=z, t=t, passes=m < 2 * z, slack=2 * z - m)
 
 
@@ -156,12 +152,22 @@ class LengthSummary:
 
     def absorb(self, record: SearchRecord) -> None:
         self.count += 1
-        if self.max_diff is None or record.diff > self.max_diff:
-            self.max_diff = record.diff
-            self.max_diff_string = record.string
-        if self.max_ratio is None or record.ratio > self.max_ratio:
-            self.max_ratio = record.ratio
-            self.max_ratio_string = record.string
+        self._keep_max(record.diff, record.string, record.ratio, record.string)
+
+    def _keep_max(
+        self,
+        diff: int | None,
+        diff_string: bytes | None,
+        ratio: float | None,
+        ratio_string: bytes | None,
+    ) -> None:
+        """Keep the larger extremes; a tie keeps the string seen first."""
+        if diff is not None and (self.max_diff is None or diff > self.max_diff):
+            self.max_diff = diff
+            self.max_diff_string = diff_string
+        if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
+            self.max_ratio = ratio
+            self.max_ratio_string = ratio_string
 
 
 @dataclass
@@ -191,15 +197,17 @@ def _is_canonical(s: bytes) -> bool:
 
 
 def _measure(s: bytes, sigma: int, check_lemmas: bool) -> SearchRecord:
-    m = lyndon_factorize(s).m
-    z = lz_factorize(s).z
-    if m >= 2 * z:
-        raise IntegrityError(f"size bound violated: m={m}, z={z}, witness {s!r}")
     if check_lemmas:
         report = verify_lemmas(s)
-        if not report.passed:
-            failed = [c.name for c in report.checks if not c.passed]
-            raise IntegrityError(f"lemma checks failed ({failed}) on witness {s!r}")
+        m, z = report.m, report.z
+    else:
+        m = lyndon_factorize(s).m
+        z = lz_factorize(s).z
+    if m >= 2 * z:
+        raise IntegrityError(f"size bound violated: m={m}, z={z}, witness {s!r}")
+    if check_lemmas and not report.passed:
+        failed = [c.name for c in report.checks if not c.passed]
+        raise IntegrityError(f"lemma checks failed ({failed}) on witness {s!r}")
     return SearchRecord(sigma=sigma, n=len(s), string=s, m=m, z=z)
 
 
@@ -218,11 +226,16 @@ def iter_search(
     _budget(sigma, max_len, limit)
     letters = _alphabet(sigma)
     for n in range(1, max_len + 1):
-        for tup in product(letters, repeat=n):
-            s = bytes(tup)
-            if dedupe and not _is_canonical(s):
-                continue
+        for s in _strings(letters, n, b"", dedupe):
             yield _measure(s, sigma, check_lemmas)
+
+
+def _strings(letters: bytes, n: int, prefix: bytes, dedupe: bool) -> Iterator[bytes]:
+    """Length-n strings starting with ``prefix``, in lex order (canonical ones if dedupe)."""
+    for tup in product(letters, repeat=n - len(prefix)):
+        s = prefix + bytes(tup)
+        if not dedupe or _is_canonical(s):
+            yield s
 
 
 def _budget(sigma: int, max_len: int, limit: int) -> int:
@@ -234,12 +247,8 @@ def _budget(sigma: int, max_len: int, limit: int) -> int:
 
 def _worker(task: tuple[int, int, bytes, bool, bool]) -> tuple[LengthSummary, int]:
     sigma, n, prefix, dedupe, check_lemmas = task
-    letters = _alphabet(sigma)
     summary = LengthSummary(n=n)
-    for tup in product(letters, repeat=n - len(prefix)):
-        s = prefix + bytes(tup)
-        if dedupe and not _is_canonical(s):
-            continue
+    for s in _strings(_alphabet(sigma), n, prefix, dedupe):
         summary.absorb(_measure(s, sigma, check_lemmas))
     return summary, n
 
@@ -259,16 +268,9 @@ def _merge(
     for partial, n in partials:
         target = per_length[n]
         target.count += partial.count
-        if partial.max_diff is not None and (
-            target.max_diff is None or partial.max_diff > target.max_diff
-        ):
-            target.max_diff = partial.max_diff
-            target.max_diff_string = partial.max_diff_string
-        if partial.max_ratio is not None and (
-            target.max_ratio is None or partial.max_ratio > target.max_ratio
-        ):
-            target.max_ratio = partial.max_ratio
-            target.max_ratio_string = partial.max_ratio_string
+        target._keep_max(
+            partial.max_diff, partial.max_diff_string, partial.max_ratio, partial.max_ratio_string
+        )
 
 
 def exhaustive_search(
@@ -297,6 +299,7 @@ def exhaustive_search(
             tasks.append((sigma, n, bytes(tup), dedupe, check_lemmas))
 
     per_length = {n: LengthSummary(n=n) for n in range(1, max_len + 1)}
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
     if jobs == 1:
         _merge(per_length, map(_worker, tasks))
     else:

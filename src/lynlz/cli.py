@@ -14,8 +14,6 @@ import sys
 from pathlib import Path
 
 from .bounds import (
-    check_theorem,
-    default_jobs,
     exhaustive_search,
     expected_counts,
     expected_lz_phrases,
@@ -28,7 +26,7 @@ from .domains import (
     Domain,
     PGroup,
     TandemDomain,
-    all_domains,
+    _domain_table,
     boundary_budget,
     canonical_decomposition,
     compute_domain,
@@ -41,6 +39,11 @@ from .errors import IntegrityError
 from .lyndon import lyndon_factorize, oracle_lyndon_dp
 from .lz import lz_factorize, oracle_lz_naive
 from .text import Span
+
+# Longest input `lyndon --oracle-check` accepts: the backtracking oracle
+# recurses once per factor, and 512 levels stay well inside Python's default
+# recursion limit (and take well under a second).
+_LYNDON_ORACLE_LIMIT = 512
 
 
 def render_bytes(data: bytes) -> str:
@@ -126,7 +129,7 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
     if args.oracle_check:
-        slow = oracle_lyndon_dp(s, max_len=len(s))
+        slow = oracle_lyndon_dp(s, max_len=_LYNDON_ORACLE_LIMIT)
         if (lf.factors, lf.runs) != (slow.factors, slow.runs):
             raise IntegrityError(f"factorization disagrees with the oracle on {render_bytes(s)}")
     runs = [
@@ -181,9 +184,10 @@ def _cmd_lz(args: argparse.Namespace) -> int:
 def _cmd_domains(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
-    domains = all_domains(lf)
-    tandems = find_tandem_domains(lf)
-    groups = find_p_groups(lf)
+    table = _domain_table(lf)
+    domains = list(table.values())
+    tandems = find_tandem_domains(lf, _table=table)
+    groups = find_p_groups(lf, _table=table)
     if args.format == "json":
         _emit_json(
             {
@@ -276,13 +280,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         c.name: {"instances": c.instances, "failures": c.failures, "counterexample": c.counterexample}
         for c in report.checks
     }
-    theorem = check_theorem(s) if s else None
+    m, z = report.m, report.z
     out = {
         "input_len": len(s),
-        "m": report.m,
-        "z": report.z,
-        "t": theorem.t if theorem else None,
-        "size_bound": {"passes": theorem.passes, "slack": theorem.slack} if theorem else None,
+        "m": m,
+        "z": z,
+        "t": report.t,
+        "size_bound": {"passes": m < 2 * z, "slack": 2 * z - m} if s else None,
         "all_passed": report.passed,
         "verdicts": verdicts,
     }
@@ -293,7 +297,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             [[c.name, c.instances, c.failures, c.counterexample or ""] for c in report.checks]
         )
     else:
-        print(f"input length {len(s)}, m = {report.m}, z = {report.z}")
+        print(f"input length {len(s)}, m = {m}, z = {z}")
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
             extra = f"  [{c.counterexample}]" if c.counterexample else ""
@@ -350,8 +354,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     s = _read_input(args)
     part = extdom_partition(s)
+    m = part.domains[-1].i  # the partition ends at run i_t = m
     z = lz_factorize(s).z
-    m = lyndon_factorize(s).m
     bound = (m + part.t + 1) // 2
     satisfied = z >= bound
     if args.format == "json":

@@ -12,11 +12,11 @@ one of those guarantees on a concrete input string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize
-from .lz import LZFactorization, lz_factorize
+from .lz import lz_factorize
 from .text import Span
 
 
@@ -364,14 +364,17 @@ def boundary_budget(cd: CanonicalDecomposition) -> BoundaryBudget:
     )
 
 
-def _dom1_partition(
-    lf: LyndonFactorization, table: dict[tuple[int, int], Domain]
-) -> list[Domain]:
-    """Right-to-left tiling of the text by order-1 extended domains."""
+def _dom1_partition(lf: LyndonFactorization) -> list[Domain]:
+    """Right-to-left tiling of the text by order-1 extended domains.
+
+    Only the order-1 domains on the tiling path are computed, so no domain
+    table is built.
+    """
+    starts = _run_starts(lf)
     parts: list[Domain] = []
     i = lf.m
     while i >= 1:
-        dom = table[(i, 1)]
+        dom = _compute(lf, i, 1, starts)
         parts.append(dom)
         i = dom.j - 1
     parts.reverse()
@@ -431,6 +434,7 @@ class LemmaReport:
     m: int
     z: int
     checks: tuple[LemmaCheck, ...]
+    t: int | None = None  # order-1 partition size; None on empty input or a failed table
 
     @property
     def passed(self) -> bool:
@@ -634,7 +638,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         )
 
     c = checks["partition-phrase-bound"]
-    parts = _dom1_partition(lf, table)
+    parts = _dom1_partition(lf)
     t = len(parts)
     tiles = True
     cursor = 1
@@ -648,4 +652,4 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c.record(tiles and lz.z >= _ceil_half(m + t), f"t={t}", f"m={m}", f"z={lz.z}")
 
     checks["size-bound"].record(m < 2 * lz.z, f"m={m}", f"z={lz.z}")
-    return report
+    return replace(report, t=t)

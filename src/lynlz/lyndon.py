@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IntegrityError
-from .text import GREATER, Span, is_lyndon, lex_compare
+from .text import Span, is_lyndon
 
 DEFAULT_ORACLE_LIMIT = 24
 
@@ -96,7 +96,7 @@ def oracle_lyndon_dp(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LyndonFac
             return
         for end in range(pos + 1, n + 1):
             piece = s[pos:end]
-            if prev is not None and lex_compare(piece, prev) == GREATER:
+            if prev is not None and piece > prev:
                 continue
             if not is_lyndon(piece):
                 continue

@@ -26,10 +26,6 @@ class LZFactorization:
     def z(self) -> int:
         return len(self.phrases)
 
-    def phrase_bytes(self, i: int) -> bytes:
-        """Bytes of p_i (1-based i)."""
-        return self.phrases[i - 1].slice(self.text)
-
     def phrase_texts(self) -> list[bytes]:
         return [p.slice(self.text) for p in self.phrases]
 
@@ -106,10 +102,3 @@ def oracle_lz_naive(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LZFactoriz
         b += length
     return _from_lengths(s, lengths)
 
-
-def contains_boundary(lz: LZFactorization, window: Span) -> bool:
-    """True iff some phrase of ``lz`` starts inside ``window``."""
-    n = len(lz.text)
-    if window.is_empty or window.start < 1 or window.end > n:
-        raise ValueError(f"window [{window.start}..{window.end}] outside text of length {n}")
-    return lz.boundaries_in(window) > 0

@@ -1,18 +1,15 @@
-"""Byte-string primitives: lexicographic order, Lyndon test, leftmost occurrence.
+"""Byte-string primitives: spans, the Lyndon test, leftmost occurrence.
 
 All positions exposed by this package are 1-based and inclusive, so a
 substring of ``s`` is addressed exactly as ``s[i..j]``.  Symbols are single
-bytes ordered by their unsigned numeric value; that order is fixed for the
-whole process.
+bytes ordered by their unsigned numeric value, so the lexicographic order of
+words is Python's own ``bytes`` order: a proper prefix precedes its
+extensions, otherwise the first mismatching byte decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 
 @dataclass(frozen=True)
@@ -46,9 +43,6 @@ class Span:
         """Bytes of this span within ``s``."""
         return s[self.start - 1 : self.end]
 
-    def contains_position(self, pos: int) -> bool:
-        return self.start <= pos <= self.end
-
     def contains(self, other: "Span") -> bool:
         """True if ``other`` lies inside this span (empty spans always fit)."""
         if other.is_empty:
@@ -62,26 +56,11 @@ class Span:
         return self.start <= other.end and other.start <= self.end
 
 
-def lex_compare(u: bytes, v: bytes) -> int:
-    """Three-way lexicographic comparison of byte strings.
-
-    Returns LESS, EQUAL or GREATER.  ``u`` precedes ``v`` when ``u`` is a
-    proper prefix of ``v`` or when the first mismatching byte of ``u`` is
-    smaller.
-    """
-    for a, b in zip(u, v):
-        if a != b:
-            return LESS if a < b else GREATER
-    if len(u) == len(v):
-        return EQUAL
-    return LESS if len(u) < len(v) else GREATER
-
-
 def is_lyndon(w: bytes) -> bool:
     """True if ``w`` is strictly smaller than all of its non-empty proper suffixes."""
     if not w:
         raise ValueError("empty word has no Lyndon status")
-    return all(lex_compare(w[i:], w) == GREATER for i in range(1, len(w)))
+    return all(w[i:] > w for i in range(1, len(w)))
 
 
 def leftmost_occurrence(s: bytes, pattern: bytes) -> int | None:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from lynlz import CanonicalDecomposition, Cluster, Domain, Span
+from collections import Counter
+
+import pytest
+
+from lynlz import CanonicalDecomposition, Cluster, Domain, Span, bounds, cli, domains
 
 # 25-character worked example: five runs (abb)^2, ababbababbb, ababb, ab, a
 FIGURE_STRING = b"abbabbababbababbbababbaba"
@@ -37,3 +41,29 @@ def sixteen_run_decomposition() -> CanonicalDecomposition:
         Cluster((dom(13, 4, 1), dom(14, 3, 1), root)),
     )
     return CanonicalDecomposition(root=root, sequence=sequence)
+
+
+COUNTED = ("lyndon_factorize", "lz_factorize", "_domain_table")
+
+
+@pytest.fixture
+def call_counts(monkeypatch) -> Counter:
+    """Count Lyndon parses, LZ parses and domain-table builds.
+
+    Each module that calls one of the three functions gets a counting
+    wrapper, so a call is counted whichever module makes it.
+    """
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (domains, bounds, cli):
+        for name in COUNTED:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts

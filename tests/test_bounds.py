@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from conftest import FIGURE_STRING
 from lynlz import (
     IntegrityError,
+    LemmaCheck,
+    LemmaReport,
     Span,
+    all_domains,
     check_theorem,
     exhaustive_search,
     expected_counts,
@@ -15,7 +20,9 @@ from lynlz import (
     iter_search,
     lyndon_factorize,
     lz_factorize,
+    verify_lemmas,
 )
+from lynlz.bounds import _measure
 
 
 class TestGenerateFamily:
@@ -131,6 +138,71 @@ class TestExtdomPartition:
             extdom_partition(b"")
 
 
+def binary_strings(max_len: int):
+    for n in range(1, max_len + 1):
+        for tup in product(b"ab", repeat=n):
+            yield bytes(tup)
+
+
+class TestComputeOnce:
+    def test_partition_matches_full_table(self):
+        # Reference: walk the order-1 column of the full domain table.
+        for s in binary_strings(12):
+            lf = lyndon_factorize(s)
+            table = {(dom.i, dom.d): dom for dom in all_domains(lf)}
+            expected = []
+            i = lf.m
+            while i >= 1:
+                expected.append(table[(i, 1)])
+                i = table[(i, 1)].j - 1
+            assert extdom_partition(s).domains == tuple(reversed(expected)), s
+
+    def test_verifier_partition_size_matches_theorem(self):
+        for s in binary_strings(12):
+            assert verify_lemmas(s).t == check_theorem(s).t, s
+
+    def test_empty_report_has_no_partition(self):
+        assert verify_lemmas(b"").t is None
+
+    def test_theorem_and_partition_build_no_table(self, call_counts):
+        check_theorem(generate_family(6))
+        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1}
+        call_counts.clear()
+        extdom_partition(generate_family(6))
+        assert call_counts == {"lyndon_factorize": 1}
+
+    @pytest.mark.parametrize("check_lemmas, tables", [(False, 0), (True, 1)])
+    def test_measure_factorizes_once(self, call_counts, check_lemmas, tables):
+        record = _measure(FIGURE_STRING, 2, check_lemmas)
+        assert (record.m, record.z) == (5, 8)
+        assert call_counts["lyndon_factorize"] == 1
+        assert call_counts["lz_factorize"] == 1
+        assert call_counts["_domain_table"] == tables
+
+    def test_measure_reports_size_bound_before_lemmas(self, monkeypatch):
+        failed = LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=4 z=2")
+        bad = LemmaReport(text=b"ab", m=4, z=2, checks=(failed,))
+        monkeypatch.setattr("lynlz.bounds.verify_lemmas", lambda s: bad)
+        with pytest.raises(IntegrityError, match=r"^size bound violated: m=4, z=2, witness b'ab'$"):
+            _measure(b"ab", 2, True)
+
+
+class RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records the requested size, runs in-process."""
+
+    def __init__(self, sizes: list[int], processes: int) -> None:
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def imap(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
 class TestSearch:
     def test_unary_alphabet(self):
         records = list(iter_search(1, 5))
@@ -180,6 +252,18 @@ class TestSearch:
         by_n = {ls.n: ls for ls in summary.per_length}
         assert by_n[12].max_diff == 0
         assert by_n[12].max_diff_string == generate_family(2)
+
+    def test_worker_count_clamped(self, monkeypatch):
+        sizes: list[int] = []
+        monkeypatch.setattr("lynlz.bounds.Pool", lambda processes: RecordingPool(sizes, processes))
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        serial = exhaustive_search(2, 6, jobs=1)
+        assert exhaustive_search(2, 6, jobs=100_000) == serial  # clamped to the CPU count
+        monkeypatch.setenv("LYNLZ_JOBS", "100000")
+        assert exhaustive_search(2, 6) == serial
+        # sigma 1, lengths 1..2 gives two tasks (prefixes "" and "a").
+        exhaustive_search(1, 2, jobs=64)
+        assert sizes == [3, 3, 2]
 
     def test_alphabet_bounds(self):
         with pytest.raises(ValueError):

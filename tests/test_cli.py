@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import FIGURE_STRING
-from lynlz import LemmaCheck, LemmaReport
+from lynlz import LemmaCheck, LemmaReport, generate_family
 from lynlz.cli import main, render_bytes
 
 FIG_TEXT = FIGURE_STRING.decode()
@@ -61,6 +61,13 @@ class TestLyndonCommand:
     def test_oracle_check(self, capsys):
         code, _ = run(capsys, "lyndon", "--text", "banana", "--oracle-check", "--format", "json")
         assert code == 0
+
+    def test_oracle_check_refuses_long_input(self, capsys):
+        # The backtracking oracle recurses once per factor; a long input is a
+        # usage error, not a failed check and not a traceback.
+        code = main(["lyndon", "--oracle-check", "--text", "a" * 1100])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: oracle limited to 512 symbols")
 
 
 class TestLzCommand:
@@ -198,6 +205,26 @@ class TestPartitionCommand:
         assert report["t"] == 1
         assert report["partition"] == [{"span": {"start": 1, "end": 25}, "size": 4}]
         assert report["bound_satisfied"] is True
+
+
+class TestComputeOnce:
+    """Each command parses its input once per factorization and builds at
+    most one domain table."""
+
+    def test_verify(self, capsys, call_counts):
+        code, _ = run(capsys, "verify", "--text", generate_family(5).decode(), "--format", "json")
+        assert code == 0
+        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1, "_domain_table": 1}
+
+    def test_partition_builds_no_table(self, capsys, call_counts):
+        code, _ = run(capsys, "partition", "--text", FIG_TEXT, "--format", "json")
+        assert code == 0
+        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1}
+
+    def test_domains(self, capsys, call_counts):
+        code, _ = run(capsys, "domains", "--text", FIG_TEXT, "--format", "json")
+        assert code == 0
+        assert call_counts == {"lyndon_factorize": 1, "_domain_table": 1}
 
 
 class TestUsage:

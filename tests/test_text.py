@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIGURE_STRING
-from lynlz import EQUAL, GREATER, LESS, Span, is_lyndon, leftmost_occurrence, lex_compare
+from lynlz import Span, is_lyndon, leftmost_occurrence
 
 
 def binary_words(max_len: int, alphabet: bytes = b"ab", min_len: int = 0) -> list[bytes]:
@@ -18,41 +18,54 @@ def binary_words(max_len: int, alphabet: bytes = b"ab", min_len: int = 0) -> lis
     ]
 
 
+def builtin_order(u: bytes, v: bytes) -> int:
+    """-1, 0 or 1 from Python's ``bytes`` operators."""
+    return (u > v) - (u < v)
+
+
+def definition_order(u: bytes, v: bytes) -> int:
+    """-1, 0 or 1 by the definition: the first mismatching byte decides,
+    otherwise the shorter word (a proper prefix) comes first."""
+    for a, b in zip(u, v):
+        if a != b:
+            return -1 if a < b else 1
+    return (len(u) > len(v)) - (len(u) < len(v))
+
+
 class TestLexCompare:
+    """The package compares words with Python's ``bytes`` operators (in
+    ``is_lyndon``, the Lyndon oracle and the verifier); these tests pin that
+    those operators give the lexicographic order of the definition."""
+
     @pytest.mark.parametrize(
         "u, v, expected",
         [
-            (b"a", b"ab", LESS),  # proper prefix
-            (b"abb", b"aba", GREATER),  # mismatch at position 3
-            (b"ab", b"ab", EQUAL),
-            (b"", b"", EQUAL),
-            (b"", b"x", LESS),
-            (b"ba", b"ab", GREATER),
+            (b"a", b"ab", -1),  # proper prefix
+            (b"abb", b"aba", 1),  # mismatch at position 3
+            (b"ab", b"ab", 0),
+            (b"", b"", 0),
+            (b"", b"x", -1),
+            (b"ba", b"ab", 1),
         ],
     )
     def test_examples(self, u, v, expected):
-        assert lex_compare(u, v) == expected
+        assert builtin_order(u, v) == expected
 
     def test_total_order_exhaustive(self):
-        # All pairs of binary words up to length 6, against Python's own
-        # byte ordering (an independent reference implementation).
+        # All pairs of binary words up to length 6.
         words = binary_words(6)
         for u in words:
             for v in words:
-                got = lex_compare(u, v)
-                assert got == -lex_compare(v, u)
-                assert (got == EQUAL) == (u == v)
-                assert got == (EQUAL if u == v else (LESS if u < v else GREATER))
+                assert builtin_order(u, v) == definition_order(u, v)
 
     def test_prefix_extension(self):
         for u in binary_words(4):
             for x in binary_words(3, min_len=1):
-                assert lex_compare(u, u + x) == LESS
+                assert u < u + x
 
     @given(st.binary(max_size=30), st.binary(max_size=30))
     def test_agrees_with_builtin_order(self, u, v):
-        expected = EQUAL if u == v else (LESS if u < v else GREATER)
-        assert lex_compare(u, v) == expected
+        assert definition_order(u, v) == builtin_order(u, v)
 
 
 class TestIsLyndon:
@@ -147,4 +160,3 @@ class TestSpan:
         assert outer.contains(Span.empty(4))
         assert outer.overlaps(inner) and not outer.overlaps(disjoint)
         assert not outer.overlaps(Span.empty(4))
-        assert outer.contains_position(2) and not outer.contains_position(11)
