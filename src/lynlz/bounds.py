@@ -9,13 +9,15 @@ import os
 from dataclasses import dataclass
 from itertools import product
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .domains import Domain, _dom1_partition, extended_domain, verify_lemmas
 from .errors import IntegrityError
 from .lyndon import lyndon_factorize
 from .lz import lz_factorize
 from .text import Span
+
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -223,11 +225,18 @@ def iter_search(
 
     Raises IntegrityError on the first string violating any verified bound.
     """
-    _budget(sigma, max_len, limit)
-    letters = _alphabet(sigma)
-    for n in range(1, max_len + 1):
-        for s in _strings(letters, n, b"", dedupe):
-            yield _measure(s, sigma, check_lemmas)
+    return _search_records(sigma, max_len, dedupe, check_lemmas, 1, limit)
+
+
+def _search_records(
+    sigma: int, max_len: int, dedupe: bool, check_lemmas: bool, jobs: int | None, limit: int
+) -> Iterator[SearchRecord]:
+    """Every record in enumeration order, measured in up to ``jobs`` processes."""
+    tasks, jobs = _plan(sigma, max_len, dedupe, check_lemmas, jobs, limit)
+    # In process a task streams its records; a worker process returns them as one list.
+    worker = _measured if jobs == 1 else _record_worker
+    for records in _in_order(worker, tasks, jobs):
+        yield from records
 
 
 def _strings(letters: bytes, n: int, prefix: bytes, dedupe: bool) -> Iterator[bytes]:
@@ -245,12 +254,24 @@ def _budget(sigma: int, max_len: int, limit: int) -> int:
     return total
 
 
-def _worker(task: tuple[int, int, bytes, bool, bool]) -> tuple[LengthSummary, int]:
+_Task = tuple[int, int, bytes, bool, bool]  # sigma, n, prefix, dedupe, check_lemmas
+
+
+def _measured(task: _Task) -> Iterator[SearchRecord]:
     sigma, n, prefix, dedupe, check_lemmas = task
-    summary = LengthSummary(n=n)
     for s in _strings(_alphabet(sigma), n, prefix, dedupe):
-        summary.absorb(_measure(s, sigma, check_lemmas))
-    return summary, n
+        yield _measure(s, sigma, check_lemmas)
+
+
+def _worker(task: _Task) -> tuple[LengthSummary, int]:
+    summary = LengthSummary(n=task[1])
+    for record in _measured(task):
+        summary.absorb(record)
+    return summary, task[1]
+
+
+def _record_worker(task: _Task) -> list[SearchRecord]:
+    return list(_measured(task))
 
 
 def default_jobs() -> int:
@@ -273,6 +294,34 @@ def _merge(
         )
 
 
+def _plan(
+    sigma: int, max_len: int, dedupe: bool, check_lemmas: bool, jobs: int | None, limit: int
+) -> tuple[list[_Task], int]:
+    """Tasks in enumeration order, split by string prefix when jobs > 1, and the worker count.
+
+    The worker count is clamped to the CPU count and the number of tasks.
+    """
+    _budget(sigma, max_len, limit)
+    jobs = default_jobs() if jobs is None else max(1, jobs)
+    letters = _alphabet(sigma)
+    prefix_len = 3 if jobs > 1 else 0
+    tasks = []
+    for n in range(1, max_len + 1):
+        p = min(prefix_len, n - 1)
+        for tup in product(letters, repeat=p):
+            tasks.append((sigma, n, bytes(tup), dedupe, check_lemmas))
+    return tasks, min(jobs, os.cpu_count() or 1, len(tasks))
+
+
+def _in_order(fn: Callable[[_Task], _R], tasks: list[_Task], jobs: int) -> Iterator[_R]:
+    """``fn`` over the tasks, results in task order; jobs > 1 runs them in a process pool."""
+    if jobs == 1:
+        yield from map(fn, tasks)
+    else:
+        with Pool(processes=jobs) as pool:  # __exit__ terminates, aborting on violations
+            yield from pool.imap(fn, tasks, chunksize=1)
+
+
 def exhaustive_search(
     sigma: int,
     max_len: int,
@@ -288,23 +337,9 @@ def exhaustive_search(
     in enumeration order, so the result is deterministic.  The first
     violation found anywhere aborts the sweep with the witness string.
     """
-    _budget(sigma, max_len, limit)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    letters = _alphabet(sigma)
-    prefix_len = 3 if jobs > 1 else 0
-    tasks = []
-    for n in range(1, max_len + 1):
-        p = min(prefix_len, n - 1)
-        for tup in product(letters, repeat=p):
-            tasks.append((sigma, n, bytes(tup), dedupe, check_lemmas))
-
+    tasks, jobs = _plan(sigma, max_len, dedupe, check_lemmas, jobs, limit)
     per_length = {n: LengthSummary(n=n) for n in range(1, max_len + 1)}
-    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
-    if jobs == 1:
-        _merge(per_length, map(_worker, tasks))
-    else:
-        with Pool(processes=jobs) as pool:  # __exit__ terminates, aborting on violations
-            _merge(per_length, pool.imap(_worker, tasks, chunksize=1))
+    _merge(per_length, _in_order(_worker, tasks, jobs))
     return SearchSummary(
         sigma=sigma,
         max_len=max_len,

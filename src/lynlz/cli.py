@@ -14,12 +14,12 @@ import sys
 from pathlib import Path
 
 from .bounds import (
+    _search_records,
     exhaustive_search,
     expected_counts,
     expected_lz_phrases,
     extdom_partition,
     generate_family,
-    iter_search,
 )
 from .domains import (
     Cluster,
@@ -385,12 +385,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.format == "tsv":
-        for rec in iter_search(
-            args.sigma,
-            args.max_len,
-            dedupe=args.dedupe,
-            check_lemmas=args.check_lemmas,
-            limit=args.limit,
+        for rec in _search_records(
+            args.sigma, args.max_len, args.dedupe, args.check_lemmas, args.jobs, args.limit
         ):
             print(
                 f"{rec.sigma}\t{rec.n}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"

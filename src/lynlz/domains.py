@@ -150,11 +150,20 @@ def _compute(lf: LyndonFactorization, i: int, d: int, starts: dict[int, int]) ->
     q = lf.text.find(alpha) + 1
     if q == a_start:
         return Domain(i=i, d=d, j=i, span=Span.empty(a_start), associated=Span(a_start, a_end))
+    return _anchored(lf, i, d, q, a_end, starts)
+
+
+def _anchored(
+    lf: LyndonFactorization, i: int, d: int, q: int, a_end: int, starts: dict[int, int]
+) -> Domain:
+    """Non-empty domain whose leftmost occurrence starts at q; q must start an earlier run."""
     j = starts.get(q)
     if j is None or j >= i:
         raise IntegrityError(
             f"leftmost occurrence of runs {i}..{i + d - 1} (position {q}) is not a run start"
         )
+    runs = lf.runs
+    a_start = runs[i - 1].start
     return Domain(
         i=i,
         d=d,
@@ -170,11 +179,33 @@ def compute_domain(lf: LyndonFactorization, i: int, d: int) -> Domain:
 
 
 def _domain_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
+    """Every (i, d) domain, keyed in ascending i then d; equal to ``_compute`` entry by entry.
+
+    For a fixed i the search for order d + 1 resumes at order d's leftmost
+    occurrence q: an occurrence of F_i..F_{i+d} is also one of its prefix
+    F_i..F_{i+d-1}, so none starts left of q.  The trivial occurrence at F_i's
+    start bounds every order from above, so once q reaches it every higher
+    order is empty and needs no search.
+    """
     starts = _run_starts(lf)
+    runs = lf.runs
+    text = lf.text
+    m = lf.m
     table: dict[tuple[int, int], Domain] = {}
-    for i in range(1, lf.m + 1):
-        for d in range(1, lf.m - i + 2):
-            table[(i, d)] = _compute(lf, i, d, starts)
+    for i in range(1, m + 1):
+        a_start = runs[i - 1].start
+        q = 1
+        for d in range(1, m - i + 2):
+            a_end = runs[i + d - 2].end
+            q = text.find(text[a_start - 1 : a_end], q - 1) + 1
+            if q == a_start:
+                empty = Span.empty(a_start)
+                for e in range(d, m - i + 2):
+                    table[(i, e)] = Domain(
+                        i=i, d=e, j=i, span=empty, associated=Span(a_start, runs[i + e - 2].end)
+                    )
+                break
+            table[(i, d)] = _anchored(lf, i, d, q, a_end, starts)
     return table
 
 
@@ -390,12 +421,17 @@ class LemmaCheck:
     failures: int = 0
     counterexample: str | None = None
 
-    def record(self, ok: bool, *witness: object) -> None:
+    def record(self, ok: bool, witness: str = "", *values: object) -> None:
+        """Count one instance; the first failure keeps ``witness.format(*values)``.
+
+        The witness is formatted only for a failing instance, so passing
+        instances cost no string formatting.
+        """
         self.instances += 1
         if not ok:
             self.failures += 1
             if self.counterexample is None:
-                self.counterexample = " ".join(str(w) for w in witness)
+                self.counterexample = witness.format(*values)
 
     @property
     def passed(self) -> bool:
@@ -469,12 +505,12 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     for i in range(2, m + 1):
         target = run_bytes[i - 1]
         for jj in range(1, i):
-            c.record(factor_bytes[jj - 1] > target, f"j={jj}", f"i={i}")
+            c.record(factor_bytes[jj - 1] > target, "j={} i={}", jj, i)
 
     try:
         table = _domain_table(lf)
     except IntegrityError as exc:
-        checks["window-at-anchor-prefix"].record(False, str(exc))
+        checks["window-at-anchor-prefix"].record(False, "{}", exc)
         return report
     domains = list(table.values())
     nonempty = [dom for dom in domains if not dom.is_empty]
@@ -485,7 +521,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             dom.associated.start == runs[dom.j - 1].start
             and dom.associated.length <= len(factor_bytes[dom.j - 1])
         )
-        c.record(ok, f"i={dom.i}", f"d={dom.d}")
+        c.record(ok, "i={} d={}", dom.i, dom.d)
 
     c = checks["runs-between-share-prefix"]
     for dom in nonempty:
@@ -493,14 +529,14 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             continue
         alpha = Span(runs[dom.i - 1].start, runs[dom.i + dom.d - 2].end).slice(s)
         for t in range(dom.j + 1, dom.i):
-            c.record(factor_bytes[t - 1].startswith(alpha), f"i={dom.i}", f"d={dom.d}", f"t={t}")
+            c.record(factor_bytes[t - 1].startswith(alpha), "i={} d={} t={}", dom.i, dom.d, t)
 
     c = checks["higher-order-suffix"]
     for i in range(1, m + 1):
         prev = table[(i, 1)].j
         for d in range(2, m - i + 2):
             cur = table[(i, d)].j
-            c.record(cur >= prev, f"i={i}", f"d={d}")
+            c.record(cur >= prev, "i={} d={}", i, d)
             prev = cur
 
     c = checks["nested-domain-containment"]
@@ -508,20 +544,23 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         for k in range(dom.j, dom.i):
             for dprime in range(1, m - k + 2):
                 sub = table[(k, dprime)]
-                c.record(dom.span.contains(sub.span), f"i={dom.i}", f"d={dom.d}", f"k={k}", f"d'={dprime}")
+                c.record(
+                    dom.span.contains(sub.span), "i={} d={} k={} d'={}", dom.i, dom.d, k, dprime
+                )
 
     c = checks["domain-window-boundary"]
-    for dom in domains:
-        c.record(lz.boundaries_in(dom.associated) >= 1, f"i={dom.i}", f"d={dom.d}")
+    window_ok = [lz.boundaries_in(dom.associated) >= 1 for dom in domains]
+    for dom, ok in zip(domains, window_ok):
+        c.record(ok, "i={} d={}", dom.i, dom.d)
 
     tandems = find_tandem_domains(lf, _table=table)
     c = checks["tandem-window-boundary"]
     for td in tandems:
-        c.record(lz.boundaries_in(td.associated) >= 1, f"i={td.i}", f"d={td.d}")
+        c.record(lz.boundaries_in(td.associated) >= 1, "i={} d={}", td.i, td.d)
 
     c = checks["tandem-window-inside-extdom"]
     for td in tandems:
-        c.record(extended_domain(td.inner).contains(td.associated), f"i={td.i}", f"d={td.d}")
+        c.record(extended_domain(td.inner).contains(td.associated), "i={} d={}", td.i, td.d)
 
     c = checks["disjoint-tandem-no-overlap"]
     for a in range(len(tandems)):
@@ -531,9 +570,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             if abs(tb.i - ta.i) <= 1:
                 continue  # sharing a run: not disjoint
             c.record(
-                not ta.associated.overlaps(tb.associated),
-                f"({ta.i},{ta.d})",
-                f"({tb.i},{tb.d})",
+                not ta.associated.overlaps(tb.associated), "({},{}) ({},{})", ta.i, ta.d, tb.i, tb.d
             )
 
     groups = find_p_groups(lf, _table=table)
@@ -541,7 +578,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     for g in groups:
         shared = extended_domain(g.members[0])
         for member in g.members[1:]:
-            c.record(extended_domain(member) == shared, f"i={g.i}", f"p={g.p}", f"d={g.d}")
+            c.record(extended_domain(member) == shared, "i={} p={} d={}", g.i, g.p, g.d)
 
     c = checks["group-window-concatenation"]
     for g in groups:
@@ -554,11 +591,11 @@ def verify_lemmas(s: bytes) -> LemmaReport:
                 break
             cursor = window.end + 1
         ok = ok and cursor == g.associated.end + 1
-        c.record(ok, f"i={g.i}", f"p={g.p}", f"d={g.d}")
+        c.record(ok, "i={} p={} d={}", g.i, g.p, g.d)
 
     c = checks["group-window-boundaries"]
     for g in groups:
-        c.record(lz.boundaries_in(g.associated) >= g.p - 1, f"i={g.i}", f"p={g.p}", f"d={g.d}")
+        c.record(lz.boundaries_in(g.associated) >= g.p - 1, "i={} p={} d={}", g.i, g.p, g.d)
 
     c = checks["disjoint-group-no-overlap"]
     for a in range(len(groups)):
@@ -569,8 +606,8 @@ def verify_lemmas(s: bytes) -> LemmaReport:
                 continue  # share a run: not disjoint
             c.record(
                 not ga.associated.overlaps(gb.associated),
-                f"({ga.i},{ga.p},{ga.d})",
-                f"({gb.i},{gb.p},{gb.d})",
+                "({},{},{}) ({},{},{})",
+                ga.i, ga.p, ga.d, gb.i, gb.p, gb.d,
             )
 
     c = checks["tandem-inside-domain-no-overlap"]
@@ -587,8 +624,8 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             if part1 and part2:
                 c.record(
                     not td.associated.overlaps(dom.associated),
-                    f"dom=({dom.i},{dom.d})",
-                    f"tandem=({td.i},{td.d})",
+                    "dom=({},{}) tandem=({},{})",
+                    dom.i, dom.d, td.i, td.d,
                 )
 
     c = checks["domain-laminarity"]
@@ -596,26 +633,27 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     for span in sorted((dom.span for dom in nonempty), key=lambda sp: (sp.start, -sp.end)):
         while stack and stack[-1].end < span.start:
             stack.pop()
-        c.record(not stack or stack[-1].end >= span.end, f"[{span.start}..{span.end}]")
+        c.record(not stack or stack[-1].end >= span.end, "[{}..{}]", span.start, span.end)
         stack.append(span)
 
     c_tile = checks["decomposition-tiling"]
     c_budget = checks["budget-identities"]
     c_count = checks["extdom-boundary-count"]
-    for dom in domains:
+    for dom, window_has_boundary in zip(domains, window_ok):
+        if dom.is_empty:
+            # An empty domain's extended domain is its window and needs
+            # ceil(0/2) + 1 = 1 boundary: the domain-window-boundary predicate.
+            c_count.record(window_has_boundary, "i={} d={}", dom.i, dom.d)
+            continue
         ext = extended_domain(dom)
         need = _ceil_half(dom.size) + 1
-        if dom.is_empty:
-            c_count.record(lz.boundaries_in(ext) >= need, f"i={dom.i}", f"d={dom.d}")
-            continue
-        witness = (f"i={dom.i}", f"d={dom.d}")
         try:
             cd = canonical_decomposition(lf, dom, _table=table)
             budget = boundary_budget(cd)
         except IntegrityError as exc:
-            c_budget.record(False, *witness, str(exc))
+            c_budget.record(False, "i={} d={} {}", dom.i, dom.d, exc)
             continue
-        c_budget.record(True, *witness)
+        c_budget.record(True)
         first = cd.sequence[0]
         ok = isinstance(first, Cluster) and first.members[0].i == dom.j
         if ok:
@@ -632,10 +670,8 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             # extended end; a single all-covering cluster stops at F_i itself.
             target = ext.end if cd.loose else runs[dom.i - 1].end
             ok = ok and cursor == target + 1
-        c_tile.record(ok, *witness)
-        c_count.record(
-            lz.boundaries_in(ext) >= max(budget.total, need), *witness
-        )
+        c_tile.record(ok, "i={} d={}", dom.i, dom.d)
+        c_count.record(lz.boundaries_in(ext) >= max(budget.total, need), "i={} d={}", dom.i, dom.d)
 
     c = checks["partition-phrase-bound"]
     parts = _dom1_partition(lf)
@@ -649,7 +685,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             break
         cursor = ext.end + 1
     tiles = tiles and cursor == len(s) + 1
-    c.record(tiles and lz.z >= _ceil_half(m + t), f"t={t}", f"m={m}", f"z={lz.z}")
+    c.record(tiles and lz.z >= _ceil_half(m + t), "t={} m={} z={}", t, m, lz.z)
 
-    checks["size-bound"].record(m < 2 * lz.z, f"m={m}", f"z={lz.z}")
+    checks["size-bound"].record(m < 2 * lz.z, "m={} z={}", m, lz.z)
     return replace(report, t=t)

@@ -23,6 +23,7 @@ from lynlz import (
     verify_lemmas,
 )
 from lynlz.bounds import _measure
+from lynlz.cli import main
 
 
 class TestGenerateFamily:
@@ -253,7 +254,7 @@ class TestSearch:
         assert by_n[12].max_diff == 0
         assert by_n[12].max_diff_string == generate_family(2)
 
-    def test_worker_count_clamped(self, monkeypatch):
+    def test_worker_count_clamped(self, monkeypatch, capsys):
         sizes: list[int] = []
         monkeypatch.setattr("lynlz.bounds.Pool", lambda processes: RecordingPool(sizes, processes))
         monkeypatch.setattr("os.cpu_count", lambda: 3)
@@ -264,6 +265,20 @@ class TestSearch:
         # sigma 1, lengths 1..2 gives two tasks (prefixes "" and "a").
         exhaustive_search(1, 2, jobs=64)
         assert sizes == [3, 3, 2]
+        # `search --format tsv` goes through the same split and pool.
+        tsv = ("search", "--sigma", "2", "--max-len", "6", "--format", "tsv")
+        assert main([*tsv, "--jobs", "1"]) == 0
+        rows = capsys.readouterr().out
+        assert sizes == [3, 3, 2]
+        assert main([*tsv, "--jobs", "100000"]) == 0
+        assert capsys.readouterr().out == rows
+        monkeypatch.delenv("LYNLZ_JOBS")
+        assert main(list(tsv)) == 0  # default: the CPU count
+        assert capsys.readouterr().out == rows
+        assert sizes == [3, 3, 2, 3, 3]
+        assert rows.splitlines() == [
+            f"2\t{r.n}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}" for r in iter_search(2, 6)
+        ]
 
     def test_alphabet_bounds(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from conftest import FIGURE_STRING
-from lynlz import LemmaCheck, LemmaReport, generate_family
+from lynlz import LemmaCheck, LemmaReport, exhaustive_search, generate_family
+from lynlz.domains import CHECK_NAMES
 from lynlz.cli import main, render_bytes
 
 FIG_TEXT = FIGURE_STRING.decode()
@@ -135,6 +136,36 @@ class TestVerifyCommand:
         assert report["size_bound"]["passes"] is True
         assert set(report["verdicts"]) >= {"size-bound", "domain-window-boundary"}
 
+    @pytest.mark.parametrize(
+        "text, sizes, slack, instances",
+        [
+            (
+                generate_family(6).decode(),
+                {"input_len": 164, "m": 23, "z": 19, "t": 2},
+                15,
+                [253, 7, 34, 253, 447, 276, 1, 1, 0, 1, 1, 1, 0, 2, 7, 7, 7, 276, 1, 1],
+            ),
+            (
+                FIG_TEXT,
+                {"input_len": 25, "m": 5, "z": 8, "t": 1},
+                11,
+                [10, 6, 6, 10, 45, 15, 4, 4, 0, 4, 3, 3, 0, 13, 6, 6, 6, 15, 1, 1],
+            ),
+        ],
+    )
+    def test_json_report_pinned(self, capsys, text, sizes, slack, instances):
+        code, out = run(capsys, "verify", "--text", text, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert {key: report[key] for key in sizes} == sizes
+        assert report["size_bound"] == {"passes": True, "slack": slack}
+        assert report["all_passed"] is True
+        assert list(report["verdicts"]) == list(CHECK_NAMES)
+        assert report["verdicts"] == {
+            name: {"instances": count, "failures": 0, "counterexample": None}
+            for name, count in zip(CHECK_NAMES, instances)
+        }
+
     def test_human_lines(self, capsys):
         code, out = run(capsys, "verify", "--text", "banana")
         assert code == 0
@@ -179,6 +210,14 @@ class TestSearchCommand:
         lines = out.splitlines()
         assert len(lines) == 2 + 4 + 8
         assert lines[0] == "2\t1\ta\t1\t1\t1"
+
+    def test_tsv_rows_same_for_any_job_count(self, capsys):
+        argv = ("search", "--sigma", "3", "--max-len", "6", "--dedupe", "--format", "tsv")
+        code1, out1 = run(capsys, *argv, "--jobs", "1")
+        code2, out2 = run(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert len(out1.splitlines()) == exhaustive_search(3, 6, dedupe=True, jobs=1).total
 
     def test_json_deterministic(self, capsys):
         code1, out1 = run(capsys, "search", "--sigma", "2", "--max-len", "6", "--format", "json", "--jobs", "2")

@@ -29,6 +29,7 @@ from lynlz import (
     lyndon_factorize,
     verify_lemmas,
 )
+from lynlz.domains import LemmaCheck, _compute, _domain_table, _run_starts
 
 
 @pytest.fixture
@@ -110,6 +111,23 @@ class TestAllDomains:
                 assert dom.is_empty
             else:
                 assert lf.runs[dom.j - 1].start == first
+
+    def test_table_matches_per_entry_search(self):
+        # The table resumes each order's search at the previous order's
+        # occurrence and stops searching once it is trivial; _compute searches
+        # every entry from the text's start.
+        for alphabet, max_len in ((b"ab", 12), (b"abc", 7)):
+            for n in range(1, max_len + 1):
+                for tup in product(alphabet, repeat=n):
+                    lf = lyndon_factorize(bytes(tup))
+                    starts = _run_starts(lf)
+                    reference = {
+                        (i, d): _compute(lf, i, d, starts)
+                        for i in range(1, lf.m + 1)
+                        for d in range(1, lf.m - i + 2)
+                    }
+                    table = _domain_table(lf)
+                    assert list(table.items()) == list(reference.items()), bytes(tup)
 
 
 class TestTandemDomains:
@@ -328,3 +346,33 @@ class TestVerifyLemmas:
     def test_domain_laminarity_counted(self, fig_lf):
         report = verify_lemmas(FIGURE_STRING)
         assert report.check("domain-laminarity").instances == 6  # non-empty spans
+
+
+class TestLemmaCheck:
+    def test_first_failure_keeps_its_witness(self):
+        c = LemmaCheck("domain-window-boundary")
+        c.record(True, "i={} d={}", 1, 1)
+        c.record(False, "i={} d={}", 3, 2)
+        c.record(False, "i={} d={}", 4, 1)
+        assert (c.instances, c.failures, c.counterexample) == (3, 2, "i=3 d=2")
+        assert not c.passed
+
+    def test_witness_texts(self):
+        cases = [
+            (("dom=({},{}) tandem=({},{})", 5, 1, 3, 2), "dom=(5,1) tandem=(3,2)"),
+            (("({},{},{}) ({},{},{})", 1, 2, 3, 6, 2, 1), "(1,2,3) (6,2,1)"),
+            (("[{}..{}]", 7, 17), "[7..17]"),
+            (("i={} d={} k={} d'={}", 4, 2, 3, 1), "i=4 d=2 k=3 d'=1"),
+            (("i={} d={} {}", 3, 1, IntegrityError("budget {inconsistency}")),
+             "i=3 d=1 budget {inconsistency}"),
+        ]
+        for args, text in cases:
+            c = LemmaCheck("x")
+            c.record(False, *args)
+            assert c.counterexample == text
+
+    def test_passing_instances_leave_no_witness(self):
+        c = LemmaCheck("x")
+        c.record(True)
+        c.record(True, "i={} d={}", 1, 2)
+        assert (c.instances, c.failures, c.counterexample) == (2, 0, None)
