@@ -156,7 +156,7 @@ def _cmd_lz(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lz = lz_factorize(s)
     if args.oracle_check:
-        slow = oracle_lz_naive(s, max_len=max(len(s), 1))
+        slow = oracle_lz_naive(s)  # quadratic, so bounded by lz.DEFAULT_ORACLE_LIMIT
         if lz.phrases != slow.phrases:
             raise IntegrityError(f"parse disagrees with the oracle on {render_bytes(s)}")
     phrases = [

@@ -15,6 +15,10 @@ from .text import Span, is_lyndon
 
 DEFAULT_ORACLE_LIMIT = 24
 
+# Match length into the period at which Duval's scan switches from byte
+# steps to slice compares.
+_GALLOP = 16
+
 
 @dataclass(frozen=True)
 class LyndonFactorization:
@@ -39,7 +43,10 @@ class LyndonFactorization:
 
 
 def _assemble(s: bytes, cuts: list[tuple[int, int]]) -> LyndonFactorization:
-    """Group consecutive equal factor occurrences (0-based (start, length) cuts) into runs."""
+    """Group consecutive equal factor occurrences (0-based (start, length) cuts) into runs.
+
+    Only the oracle uses this; ``lyndon_factorize`` emits whole runs itself.
+    """
     factors: list[tuple[Span, int]] = []
     runs: list[Span] = []
     idx = 0
@@ -59,20 +66,59 @@ def _assemble(s: bytes, cuts: list[tuple[int, int]]) -> LyndonFactorization:
 
 
 def lyndon_factorize(s: bytes) -> LyndonFactorization:
-    """Compute the Lyndon factorization of ``s`` (Duval's algorithm, O(n))."""
+    """Compute the Lyndon factorization of ``s`` (Duval's algorithm, O(n)).
+
+    Each round of Duval's scan starts at ``k`` and moves ``j`` right while
+    ``s[k..j)`` stays a prefix of a power of the Lyndon word ``w = s[k..k+p)``,
+    with ``p = j - i``.  An equal byte ``s[i] == s[j]`` extends that periodic
+    stretch by one.  Once the match into the period reaches ``_GALLOP`` bytes,
+    the stretch is extended by slice compares of doubling, then halving,
+    length: ``s[j:j+step] == s[i:i+step]`` holds exactly when the per-byte
+    loop would take the equal branch ``step`` times in a row.  That costs
+    O(log stretch) Python steps: ``a^n`` with ``n = 10^6`` takes a few dozen.
+
+    The round ends with ``s[k..j) = w^e w'``, ``e = (j-k) // p`` and ``w'`` a
+    proper prefix of ``w``.  Its factors are ``e`` copies of ``w``, and they
+    form one whole run: the next round's suffix ``s[k+e*p..]`` is either
+    ``w'`` alone (``j = n``), shorter than ``w``, or starts with ``w' c``
+    where ``c = s[j] < s[i] = w[|w'|]``, which is not a prefix of ``w``.
+    Either way the suffix does not start with ``w``, so its first factor is
+    not ``w``.  Each round therefore appends one run directly.
+    """
     n = len(s)
-    cuts: list[tuple[int, int]] = []
+    factors: list[tuple[Span, int]] = []
+    runs: list[Span] = []
     k = 0
     while k < n:
         i, j = k, k + 1
-        while j < n and s[i] <= s[j]:
-            i = k if s[i] < s[j] else i + 1
+        while j < n:
+            a, b = s[i], s[j]
+            if a < b:
+                i = k
+            elif a == b:
+                i += 1
+                if i - k >= _GALLOP:
+                    j += 1
+                    step = _GALLOP
+                    while s[j : j + step] == s[i : i + step]:
+                        i += step
+                        j += step
+                        step *= 2
+                    while step > 1:
+                        step //= 2
+                        if s[j : j + step] == s[i : i + step]:
+                            i += step
+                            j += step
+                    continue
+            else:
+                break
             j += 1
-        period = j - i
-        while k <= i:
-            cuts.append((k, period))
-            k += period
-    return _assemble(s, cuts)
+        p = j - i
+        e = (j - k) // p
+        factors.append((Span(k + 1, k + p), e))
+        runs.append(Span(k + 1, k + e * p))
+        k += e * p
+    return LyndonFactorization(text=s, factors=tuple(factors), runs=tuple(runs))
 
 
 def oracle_lyndon_dp(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LyndonFactorization:

@@ -9,6 +9,7 @@ from conftest import FIGURE_STRING
 from lynlz import LemmaCheck, LemmaReport, exhaustive_search, generate_family
 from lynlz.domains import CHECK_NAMES
 from lynlz.cli import main, render_bytes
+from lynlz.lz import DEFAULT_ORACLE_LIMIT
 
 FIG_TEXT = FIGURE_STRING.decode()
 
@@ -88,6 +89,18 @@ class TestLzCommand:
 
     def test_oracle_check(self, capsys):
         code, _ = run(capsys, "lz", "--text", FIG_TEXT, "--oracle-check")
+        assert code == 0
+
+    def test_oracle_check_refuses_long_input(self, capsys):
+        # The naive oracle is quadratic; past lz.DEFAULT_ORACLE_LIMIT the
+        # check is a usage error, and nothing goes to stdout.
+        limit = DEFAULT_ORACLE_LIMIT
+        code = main(["lz", "--oracle-check", "--text", "a" * (limit + 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: oracle limited to {limit} symbols, got {limit + 1}\n"
+        code, _ = run(capsys, "lz", "--oracle-check", "--text", "ab" * (limit // 2))
         assert code == 0
 
 

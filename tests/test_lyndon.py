@@ -18,6 +18,61 @@ def exponents(lf):
     return [lf.exponent(i) for i in range(1, lf.m + 1)]
 
 
+def duval_per_byte(s: bytes) -> tuple[tuple, tuple]:
+    """Slow path: classic Duval, one byte per step, one cut per factor, grouped after.
+
+    Transcribed here rather than imported, so that it shares no code with
+    ``lyndon_factorize``'s galloping scan and run-per-round emission.
+    """
+    n = len(s)
+    cuts = []
+    k = 0
+    while k < n:
+        i, j = k, k + 1
+        while j < n and s[i] <= s[j]:
+            i = k if s[i] < s[j] else i + 1
+            j += 1
+        while k <= i:
+            cuts.append((k, j - i))
+            k += j - i
+    factors, runs = [], []
+    idx = 0
+    while idx < len(cuts):
+        start, length = cuts[idx]
+        count = 1
+        while idx + count < len(cuts) and cuts[idx + count][1] == length:
+            other = cuts[idx + count][0]
+            if s[other : other + length] != s[start : start + length]:
+                break
+            count += 1
+        factors.append((Span(start + 1, start + length), count))
+        runs.append(Span(start + 1, start + count * length))
+        idx += count
+    return tuple(factors), tuple(runs)
+
+
+def fibonacci_prefix(n: int) -> bytes:
+    prev, cur = b"b", b"a"
+    while len(cur) < n:
+        prev, cur = cur, cur + prev
+    return cur[:n]
+
+
+def repeated_family_block(n: int) -> bytes:
+    block = generate_family(12)
+    return (block * (n // len(block) + 1))[:n]
+
+
+@st.composite
+def periodic_strings(draw) -> bytes:
+    """``u^r`` plus a prefix of ``u`` and maybe one more letter: long periodic stretches."""
+    u = draw(st.text(alphabet="abc", min_size=1, max_size=12)).encode()
+    reps = draw(st.integers(min_value=1, max_value=200))
+    head = u[: draw(st.integers(min_value=0, max_value=len(u)))]
+    extra = draw(st.sampled_from([b"", b"a", b"b", b"c"]))
+    return u * reps + head + extra
+
+
 class TestOracle:
     def test_banana(self):
         lf = oracle_lyndon_dp(b"banana")
@@ -132,3 +187,50 @@ class TestInvariants:
         fast = lyndon_factorize(s)
         slow = oracle_lyndon_dp(s, max_len=40)
         assert (fast.factors, fast.runs) == (slow.factors, slow.runs)
+
+
+class TestGallopAgainstPerByteScan:
+    """``lyndon_factorize`` skips byte steps and the cut list; the per-byte scan skips neither."""
+
+    def test_exhaustive_sweep_ranges(self):
+        # The acceptance sweep's binary range, and ternary one step past the oracle test.
+        for alphabet, max_len in ((b"ab", 16), (b"abc", 9)):
+            for n in range(0, max_len + 1):
+                for tup in product(alphabet, repeat=n):
+                    s = bytes(tup)
+                    lf = lyndon_factorize(s)
+                    assert (lf.factors, lf.runs) == duval_per_byte(s), s
+
+    def test_every_stretch_end_near_the_switch(self):
+        # A periodic stretch of every length up to 100, cut by every letter:
+        # the stretch ends before, at and after the 16-byte switch and at
+        # each doubling and halving step after it.
+        for n in range(1, 5):
+            for tup in product(b"abc", repeat=n):
+                u = bytes(tup)
+                stretch = u * (100 // n + 1)
+                for length in range(1, 101):
+                    for last in (b"", b"a", b"b", b"c"):
+                        s = stretch[:length] + last
+                        lf = lyndon_factorize(s)
+                        assert (lf.factors, lf.runs) == duval_per_byte(s), s
+
+    @given(periodic_strings())
+    def test_periodic_strings(self, s):
+        lf = lyndon_factorize(s)
+        assert (lf.factors, lf.runs) == duval_per_byte(s)
+
+    @pytest.mark.parametrize("word", [b"a", b"ab"])
+    def test_one_run_at_a_million_bytes(self, word):
+        n = 10**6
+        lf = lyndon_factorize(word * (n // len(word)))
+        assert lf.factors == ((Span(1, len(word)), n // len(word)),)
+        assert lf.runs == (Span(1, n),)
+
+    @pytest.mark.parametrize(
+        "make", [fibonacci_prefix, repeated_family_block], ids=["fibonacci", "family-k12"]
+    )
+    def test_repetitive_text(self, make):
+        s = make(10**5)
+        lf = lyndon_factorize(s)
+        assert (lf.factors, lf.runs) == duval_per_byte(s)
