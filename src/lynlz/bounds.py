@@ -182,8 +182,10 @@ class SearchSummary:
     per_length: list[LengthSummary]
 
     @property
-    def max_ratio(self) -> float:
-        return max(ls.max_ratio for ls in self.per_length if ls.max_ratio is not None)
+    def max_ratio(self) -> float | None:
+        """Largest m / z over the sweep; None for an empty sweep."""
+        ratios = [ls.max_ratio for ls in self.per_length if ls.max_ratio is not None]
+        return max(ratios, default=None)
 
 
 def _alphabet(sigma: int) -> bytes:
@@ -299,8 +301,11 @@ def _plan(
 ) -> tuple[list[_Task], int]:
     """Tasks in enumeration order, split by string prefix when jobs > 1, and the worker count.
 
-    The worker count is clamped to the CPU count and the number of tasks.
+    The worker count is clamped to the CPU count and the number of tasks, and
+    is at least 1, so an empty sweep runs in process.
     """
+    if max_len < 0:
+        raise ValueError("max length must be >= 0")
     _budget(sigma, max_len, limit)
     jobs = default_jobs() if jobs is None else max(1, jobs)
     letters = _alphabet(sigma)
@@ -310,7 +315,7 @@ def _plan(
         p = min(prefix_len, n - 1)
         for tup in product(letters, repeat=p):
             tasks.append((sigma, n, bytes(tup), dedupe, check_lemmas))
-    return tasks, min(jobs, os.cpu_count() or 1, len(tasks))
+    return tasks, max(1, min(jobs, os.cpu_count() or 1, len(tasks)))
 
 
 def _in_order(fn: Callable[[_Task], _R], tasks: list[_Task], jobs: int) -> Iterator[_R]:

@@ -26,13 +26,13 @@ from .domains import (
     Domain,
     PGroup,
     TandemDomain,
-    _domain_table,
+    _domain_layer,
+    _groups,
+    _tandems,
     boundary_budget,
     canonical_decomposition,
     compute_domain,
     extended_domain,
-    find_p_groups,
-    find_tandem_domains,
     verify_lemmas,
 )
 from .errors import IntegrityError
@@ -184,10 +184,10 @@ def _cmd_lz(args: argparse.Namespace) -> int:
 def _cmd_domains(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
-    table = _domain_table(lf)
-    domains = list(table.values())
-    tandems = find_tandem_domains(lf, _table=table)
-    groups = find_p_groups(lf, _table=table)
+    layer = _domain_layer(lf)
+    domains = layer.domains()
+    tandems = _tandems(layer)
+    groups = _groups(lf, tandems)
     if args.format == "json":
         _emit_json(
             {

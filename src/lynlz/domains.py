@@ -12,11 +12,12 @@ one of those guarantees on a concrete input string.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize
-from .lz import lz_factorize
+from .lz import LZFactorization, lz_factorize
 from .text import Span
 
 
@@ -149,8 +150,17 @@ def _compute(lf: LyndonFactorization, i: int, d: int, starts: dict[int, int]) ->
     alpha = lf.text[a_start - 1 : a_end]
     q = lf.text.find(alpha) + 1
     if q == a_start:
-        return Domain(i=i, d=d, j=i, span=Span.empty(a_start), associated=Span(a_start, a_end))
+        return _empty(lf, i, d)
     return _anchored(lf, i, d, q, a_end, starts)
+
+
+def _empty(lf: LyndonFactorization, i: int, d: int) -> Domain:
+    """The empty order-d domain of run F_i: its window is F_i .. F_{i+d-1} itself."""
+    runs = lf.runs
+    a_start = runs[i - 1].start
+    return Domain(
+        i=i, d=d, j=i, span=Span.empty(a_start), associated=Span(a_start, runs[i + d - 2].end)
+    )
 
 
 def _anchored(
@@ -178,40 +188,84 @@ def compute_domain(lf: LyndonFactorization, i: int, d: int) -> Domain:
     return _compute(lf, i, d, _run_starts(lf))
 
 
-def _domain_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
-    """Every (i, d) domain, keyed in ascending i then d; equal to ``_compute`` entry by entry.
+class DomainLayer:
+    """The non-empty domains of every run; every other domain is empty.
+
+    ``rows[i - 1]`` holds the non-empty domains of F_i, orders 1 .. e_i - 1,
+    where e_i is F_i's first empty order (m - i + 2 when it has none).
+    Domain (i, d) is empty exactly when d >= e_i, so the empty ones are
+    derived on demand from (i, d) and the runs, and the layer takes
+    O(m + non-empty domains) memory.  A plain class, not a dataclass: it is
+    built once per command and never compared, and the dataclass machinery
+    would cost every ``import lynlz``.
+    """
+
+    __slots__ = ("lf", "rows")
+
+    def __init__(self, lf: LyndonFactorization, rows: tuple[tuple[Domain, ...], ...]) -> None:
+        self.lf = lf
+        self.rows = rows
+
+    def first_empty(self, i: int) -> int:
+        """e_i: the lowest order d whose domain of F_i is empty."""
+        return len(self.rows[i - 1]) + 1
+
+    def domain(self, i: int, d: int) -> Domain:
+        """Order-d domain of run F_i, for 1 <= d <= m - i + 1."""
+        row = self.rows[i - 1]
+        return row[d - 1] if d <= len(row) else _empty(self.lf, i, d)
+
+    def nonempty(self) -> list[Domain]:
+        """Every non-empty domain, ascending i then d."""
+        return [dom for row in self.rows for dom in row]
+
+    def domains(self) -> list[Domain]:
+        """Every valid (i, d) domain, ascending i then d, empty ones included."""
+        runs = self.lf.runs
+        m = self.lf.m
+        out: list[Domain] = []
+        for i, row in enumerate(self.rows, 1):
+            out.extend(row)
+            a_start = runs[i - 1].start
+            span = Span.empty(a_start)  # one span shared by the run's empty domains
+            out.extend(
+                Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end))
+                for d in range(len(row) + 1, m - i + 2)
+            )
+        return out
+
+
+def _domain_layer(lf: LyndonFactorization) -> DomainLayer:
+    """Sparse domain layer of ``lf``: one search per non-empty domain plus one per run.
 
     For a fixed i the search for order d + 1 resumes at order d's leftmost
     occurrence q: an occurrence of F_i..F_{i+d} is also one of its prefix
     F_i..F_{i+d-1}, so none starts left of q.  The trivial occurrence at F_i's
-    start bounds every order from above, so once q reaches it every higher
-    order is empty and needs no search.
+    start bounds every order from above, so once q reaches it, at order e_i,
+    every higher order is empty too and the row stops there.
     """
     starts = _run_starts(lf)
     runs = lf.runs
     text = lf.text
     m = lf.m
-    table: dict[tuple[int, int], Domain] = {}
+    rows: list[tuple[Domain, ...]] = []
     for i in range(1, m + 1):
         a_start = runs[i - 1].start
+        row: list[Domain] = []
         q = 1
         for d in range(1, m - i + 2):
             a_end = runs[i + d - 2].end
             q = text.find(text[a_start - 1 : a_end], q - 1) + 1
             if q == a_start:
-                empty = Span.empty(a_start)
-                for e in range(d, m - i + 2):
-                    table[(i, e)] = Domain(
-                        i=i, d=e, j=i, span=empty, associated=Span(a_start, runs[i + e - 2].end)
-                    )
                 break
-            table[(i, d)] = _anchored(lf, i, d, q, a_end, starts)
-    return table
+            row.append(_anchored(lf, i, d, q, a_end, starts))
+        rows.append(tuple(row))
+    return DomainLayer(lf, tuple(rows))
 
 
 def all_domains(lf: LyndonFactorization) -> list[Domain]:
     """Every valid (i, d) domain, ascending i then d."""
-    return list(_domain_table(lf).values())
+    return _domain_layer(lf).domains()
 
 
 def _tandem_window(lf: LyndonFactorization, inner: Domain) -> Span:
@@ -232,20 +286,26 @@ def _make_tandem(lf: LyndonFactorization, inner: Domain, outer: Domain) -> Tande
     )
 
 
-def find_tandem_domains(
-    lf: LyndonFactorization, *, _table: dict[tuple[int, int], Domain] | None = None
-) -> list[TandemDomain]:
-    """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}), ascending i then d."""
-    table = _table if _table is not None else _domain_table(lf)
+def _tandems(layer: DomainLayer) -> list[TandemDomain]:
+    """All tandem pairs of the layer, ascending i then d.
+
+    Only a non-empty outer half can link: an empty dom_d(F_{i+1}) anchors at
+    F_{i+1}, and dom_{d+1}(F_i) anchors at or left of F_i.  So the pairs
+    tested are one per non-empty domain.
+    """
+    lf = layer.lf
     out: list[TandemDomain] = []
-    m = lf.m
-    for i in range(1, m):
-        for d in range(1, m - i + 1):
-            inner = table[(i, d + 1)]
-            outer = table[(i + 1, d)]
+    for i in range(1, lf.m):
+        for outer in layer.rows[i]:  # non-empty domains of F_{i+1}
+            inner = layer.domain(i, outer.d + 1)
             if inner.j == outer.j:
                 out.append(_make_tandem(lf, inner, outer))
     return out
+
+
+def find_tandem_domains(lf: LyndonFactorization) -> list[TandemDomain]:
+    """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}), ascending i then d."""
+    return _tandems(_domain_layer(lf))
 
 
 def _make_group(lf: LyndonFactorization, members: tuple[Domain, ...]) -> PGroup:
@@ -264,42 +324,44 @@ def _make_group(lf: LyndonFactorization, members: tuple[Domain, ...]) -> PGroup:
     )
 
 
-def find_p_groups(
-    lf: LyndonFactorization, *, _table: dict[tuple[int, int], Domain] | None = None
-) -> list[PGroup]:
+def _groups(lf: LyndonFactorization, tandems: list[TandemDomain]) -> list[PGroup]:
+    """Maximal p-groups read off the tandem list (ascending i then d).
+
+    Tandem (i, d) links dom_{d+1}(F_i) to dom_d(F_{i+1}), two domains whose
+    run index plus order is i + d + 1.  On the diagonal c = i + d the outer
+    half of the link at i is therefore the inner half of the link at i + 1,
+    and a maximal run of tandems at consecutive i is one group that cannot
+    be extended on either side: the links' inner halves, then the last
+    link's outer half.
+    """
+    by_diagonal: dict[int, list[TandemDomain]] = {}
+    for td in tandems:
+        by_diagonal.setdefault(td.i + td.d, []).append(td)
+    groups: list[PGroup] = []
+    for c in sorted(by_diagonal):
+        chain = by_diagonal[c]  # ascending i
+        first = 0
+        for k in range(1, len(chain) + 1):
+            if k == len(chain) or chain[k].i != chain[k - 1].i + 1:
+                links = chain[first:k]
+                members = tuple(td.inner for td in links) + (links[-1].outer,)
+                groups.append(_make_group(lf, members))
+                first = k
+    groups.sort(key=lambda g: (g.i, g.d))
+    return groups
+
+
+def find_p_groups(lf: LyndonFactorization) -> list[PGroup]:
     """Maximal p-groups (p >= 2): maximal chains of tandem pairs.
 
     Consecutive tandem conditions live on diagonals i + d = const; a maximal
     run of satisfied conditions along a diagonal yields one group that cannot
     be extended on either side.
     """
-    table = _table if _table is not None else _domain_table(lf)
-    m = lf.m
-    groups: list[PGroup] = []
-    for c in range(2, m + 1):
-        run_start: int | None = None
-        for i in range(1, c + 1):  # i == c acts as a sentinel that flushes the chain
-            linked = False
-            if i < c:
-                inner = table[(i, c - i + 1)]
-                outer = table[(i + 1, c - i)]
-                linked = inner.j == outer.j
-            if linked and run_start is None:
-                run_start = i
-            elif not linked and run_start is not None:
-                members = tuple(table[(t, c - t + 1)] for t in range(run_start, i + 1))
-                groups.append(_make_group(lf, members))
-                run_start = None
-    groups.sort(key=lambda g: (g.i, g.d))
-    return groups
+    return _groups(lf, find_tandem_domains(lf))
 
 
-def canonical_decomposition(
-    lf: LyndonFactorization,
-    dom: Domain,
-    *,
-    _table: dict[tuple[int, int], Domain] | None = None,
-) -> CanonicalDecomposition:
+def canonical_decomposition(lf: LyndonFactorization, dom: Domain) -> CanonicalDecomposition:
     """Greedy right-to-left split of a non-empty domain into clusters and loose subdomains.
 
     Scanning F_{i-1} down to F_j with a rising order counter: a domain
@@ -307,20 +369,14 @@ def canonical_decomposition(
     cluster, records the domain as loose, and restarts the scan (order 0)
     just left of the loose domain's span.
     """
+    starts = _run_starts(lf)
+    return _decompose(dom, lambda t, order: _compute(lf, t, order, starts))
+
+
+def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDecomposition:
+    """``canonical_decomposition`` with ``dom_at(t, order)`` looking up the scanned domains."""
     if dom.size == 0:
         raise ValueError("decomposition undefined for empty domain")
-
-    if _table is None:
-        starts = _run_starts(lf)
-
-        def dom_at(t: int, order: int) -> Domain:
-            return _compute(lf, t, order, starts)
-
-    else:
-
-        def dom_at(t: int, order: int) -> Domain:
-            return _table[(t, order)]
-
     j = dom.j
     discovered: list[Cluster | Domain] = []  # right-to-left discovery order
     current: list[Domain] = [dom]
@@ -427,9 +483,19 @@ class LemmaCheck:
         The witness is formatted only for a failing instance, so passing
         instances cost no string formatting.
         """
-        self.instances += 1
-        if not ok:
-            self.failures += 1
+        self.record_many(1, 0 if ok else 1, witness, *values)
+
+    def record_many(
+        self, instances: int, failures: int = 0, witness: str = "", *values: object
+    ) -> None:
+        """Count ``instances`` instances, ``failures`` of them failing.
+
+        ``witness.format(*values)`` must describe the first failing one; it
+        is kept only if no earlier instance failed.
+        """
+        self.instances += instances
+        if failures:
+            self.failures += failures
             if self.counterexample is None:
                 self.counterexample = witness.format(*values)
 
@@ -483,12 +549,50 @@ class LemmaReport:
         raise KeyError(name)
 
 
+def _empty_window_failures(layer: DomainLayer, lz: LZFactorization, i: int) -> int:
+    """How many empty domains of F_i have a window holding no phrase start.
+
+    The empty order-d domain's window is F_i .. F_{i+d-1}: a fixed start and
+    an end that grows with d, so its number of phrase starts never decreases
+    along the orders d >= e_i.  The failing orders are therefore e_i, e_i + 1,
+    ... up to the first passing one, where the scan stops.
+    """
+    runs = layer.lf.runs
+    a_start = runs[i - 1].start
+    failures = 0
+    for d in range(layer.first_empty(i), layer.lf.m - i + 2):
+        if lz.boundaries_in(Span(a_start, runs[i + d - 2].end)) >= 1:
+            break
+        failures += 1
+    return failures
+
+
 def verify_lemmas(s: bytes) -> LemmaReport:
     """Run the whole battery of structural checks for ``s``.
 
     Every check is a proven consequence of the two factorizations'
     definitions, so a failure indicates a defect in this library, never a
     property of the input.
+
+    The checks read the sparse domain layer.  Where a check ranges over
+    empty domains, their instances are counted rather than visited; the
+    instance count, the failure count and the first counterexample equal
+    those of visiting every instance in order:
+
+    - ``domain-window-boundary`` and the empty branch of
+      ``extdom-boundary-count``: along the orders d >= e_i the empty
+      domain's window only grows, so the orders are evaluated upward from
+      e_i until the first pass and the rest pass too (see
+      ``_empty_window_failures``).  Every failing order is evaluated.
+    - ``nested-domain-containment``: a sub-domain (k, d') with d' >= e_k is
+      empty, and ``Span.contains`` accepts every empty span, so only the
+      orders d' < e_k are evaluated and the rest count as passing.
+    - ``higher-order-suffix``: for d > e_i both dom_{d-1}(F_i) and
+      dom_d(F_i) are empty and anchor at F_i, so ``cur >= prev`` reads
+      ``i >= i``.  Orders up to e_i are evaluated and the rest count as
+      passing.
+    - ``factor-order-dominates-runs`` evaluates all m(m-1)/2 comparisons,
+      batched per run.
     """
     lf = lyndon_factorize(s)
     lz = lz_factorize(s)
@@ -503,17 +607,17 @@ def verify_lemmas(s: bytes) -> LemmaReport:
 
     c = checks["factor-order-dominates-runs"]
     for i in range(2, m + 1):
-        target = run_bytes[i - 1]
-        for jj in range(1, i):
-            c.record(factor_bytes[jj - 1] > target, "j={} i={}", jj, i)
+        oks = list(map(run_bytes[i - 1].__lt__, factor_bytes[: i - 1]))  # f_j > F_i for j < i
+        bad = len(oks) - sum(oks)
+        c.record_many(len(oks), bad, "j={} i={}", oks.index(False) + 1 if bad else 0, i)
 
     try:
-        table = _domain_table(lf)
+        layer = _domain_layer(lf)
     except IntegrityError as exc:
         checks["window-at-anchor-prefix"].record(False, "{}", exc)
         return report
-    domains = list(table.values())
-    nonempty = [dom for dom in domains if not dom.is_empty]
+    rows = layer.rows
+    nonempty = layer.nonempty()
 
     c = checks["window-at-anchor-prefix"]
     for dom in nonempty:
@@ -532,28 +636,32 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             c.record(factor_bytes[t - 1].startswith(alpha), "i={} d={} t={}", dom.i, dom.d, t)
 
     c = checks["higher-order-suffix"]
-    for i in range(1, m + 1):
-        prev = table[(i, 1)].j
-        for d in range(2, m - i + 2):
-            cur = table[(i, d)].j
-            c.record(cur >= prev, "i={} d={}", i, d)
-            prev = cur
+    for i, row in enumerate(rows, 1):
+        top, e = m - i + 1, len(row) + 1  # highest order, first empty order
+        anchors = [dom.j for dom in row] + [i]  # j of orders 1 .. e_i
+        for d in range(2, min(e, top) + 1):
+            c.record(anchors[d - 1] >= anchors[d - 2], "i={} d={}", i, d)
+        c.record_many(max(0, top - e))  # orders past e_i: i >= i
 
     c = checks["nested-domain-containment"]
     for dom in nonempty:
         for k in range(dom.j, dom.i):
-            for dprime in range(1, m - k + 2):
-                sub = table[(k, dprime)]
+            sub_row = rows[k - 1]
+            for sub in sub_row:
                 c.record(
-                    dom.span.contains(sub.span), "i={} d={} k={} d'={}", dom.i, dom.d, k, dprime
+                    dom.span.contains(sub.span), "i={} d={} k={} d'={}", dom.i, dom.d, k, sub.d
                 )
+            c.record_many(m - k + 1 - len(sub_row))  # empty sub-domains: empty spans fit
 
     c = checks["domain-window-boundary"]
-    window_ok = [lz.boundaries_in(dom.associated) >= 1 for dom in domains]
-    for dom, ok in zip(domains, window_ok):
-        c.record(ok, "i={} d={}", dom.i, dom.d)
+    tail_failures: list[int] = []  # per run, its empty domains failing the check
+    for i, row in enumerate(rows, 1):
+        for dom in row:
+            c.record(lz.boundaries_in(dom.associated) >= 1, "i={} d={}", i, dom.d)
+        tail_failures.append(_empty_window_failures(layer, lz, i))
+        c.record_many(m - i + 1 - len(row), tail_failures[-1], "i={} d={}", i, len(row) + 1)
 
-    tandems = find_tandem_domains(lf, _table=table)
+    tandems = _tandems(layer)
     c = checks["tandem-window-boundary"]
     for td in tandems:
         c.record(lz.boundaries_in(td.associated) >= 1, "i={} d={}", td.i, td.d)
@@ -573,7 +681,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
                 not ta.associated.overlaps(tb.associated), "({},{}) ({},{})", ta.i, ta.d, tb.i, tb.d
             )
 
-    groups = find_p_groups(lf, _table=table)
+    groups = _groups(lf, tandems)
     c = checks["group-shared-extdom"]
     for g in groups:
         shared = extended_domain(g.members[0])
@@ -639,39 +747,42 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c_tile = checks["decomposition-tiling"]
     c_budget = checks["budget-identities"]
     c_count = checks["extdom-boundary-count"]
-    for dom, window_has_boundary in zip(domains, window_ok):
-        if dom.is_empty:
-            # An empty domain's extended domain is its window and needs
-            # ceil(0/2) + 1 = 1 boundary: the domain-window-boundary predicate.
-            c_count.record(window_has_boundary, "i={} d={}", dom.i, dom.d)
-            continue
-        ext = extended_domain(dom)
-        need = _ceil_half(dom.size) + 1
-        try:
-            cd = canonical_decomposition(lf, dom, _table=table)
-            budget = boundary_budget(cd)
-        except IntegrityError as exc:
-            c_budget.record(False, "i={} d={} {}", dom.i, dom.d, exc)
-            continue
-        c_budget.record(True)
-        first = cd.sequence[0]
-        ok = isinstance(first, Cluster) and first.members[0].i == dom.j
-        if ok:
-            cursor = runs[dom.j + first.size - 2].end + 1  # after F_j .. F_{j+ell-1}
-            if runs[dom.j - 1].start != ext.start:
-                ok = False
-            for sub in cd.loose:
-                sub_ext = extended_domain(sub)
-                if sub_ext.start != cursor:
+    for i, row in enumerate(rows, 1):
+        for dom in row:
+            ext = extended_domain(dom)
+            need = _ceil_half(dom.size) + 1
+            try:
+                cd = _decompose(dom, layer.domain)
+                budget = boundary_budget(cd)
+            except IntegrityError as exc:
+                c_budget.record(False, "i={} d={} {}", dom.i, dom.d, exc)
+                continue
+            c_budget.record(True)
+            first = cd.sequence[0]
+            ok = isinstance(first, Cluster) and first.members[0].i == dom.j
+            if ok:
+                cursor = runs[dom.j + first.size - 2].end + 1  # after F_j .. F_{j+ell-1}
+                if runs[dom.j - 1].start != ext.start:
                     ok = False
-                    break
-                cursor = sub_ext.end + 1
-            # With loose subdomains the last extended domain reaches the root's
-            # extended end; a single all-covering cluster stops at F_i itself.
-            target = ext.end if cd.loose else runs[dom.i - 1].end
-            ok = ok and cursor == target + 1
-        c_tile.record(ok, "i={} d={}", dom.i, dom.d)
-        c_count.record(lz.boundaries_in(ext) >= max(budget.total, need), "i={} d={}", dom.i, dom.d)
+                for sub in cd.loose:
+                    sub_ext = extended_domain(sub)
+                    if sub_ext.start != cursor:
+                        ok = False
+                        break
+                    cursor = sub_ext.end + 1
+                # With loose subdomains the last extended domain reaches the root's
+                # extended end; a single all-covering cluster stops at F_i itself.
+                target = ext.end if cd.loose else runs[dom.i - 1].end
+                ok = ok and cursor == target + 1
+            c_tile.record(ok, "i={} d={}", dom.i, dom.d)
+            c_count.record(
+                lz.boundaries_in(ext) >= max(budget.total, need), "i={} d={}", dom.i, dom.d
+            )
+        # An empty domain's extended domain is its window and needs
+        # ceil(0/2) + 1 = 1 boundary: the domain-window-boundary predicate.
+        c_count.record_many(
+            m - i + 1 - len(row), tail_failures[i - 1], "i={} d={}", i, len(row) + 1
+        )
 
     c = checks["partition-phrase-bound"]
     parts = _dom1_partition(lf)

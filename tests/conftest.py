@@ -43,12 +43,12 @@ def sixteen_run_decomposition() -> CanonicalDecomposition:
     return CanonicalDecomposition(root=root, sequence=sequence)
 
 
-COUNTED = ("lyndon_factorize", "lz_factorize", "_domain_table")
+COUNTED = ("lyndon_factorize", "lz_factorize", "_domain_layer")
 
 
 @pytest.fixture
 def call_counts(monkeypatch) -> Counter:
-    """Count Lyndon parses, LZ parses and domain-table builds.
+    """Count Lyndon parses, LZ parses and domain-layer builds.
 
     Each module that calls one of the three functions gets a counting
     wrapper, so a call is counted whichever module makes it.

@@ -178,7 +178,7 @@ class TestComputeOnce:
         assert (record.m, record.z) == (5, 8)
         assert call_counts["lyndon_factorize"] == 1
         assert call_counts["lz_factorize"] == 1
-        assert call_counts["_domain_table"] == tables
+        assert call_counts["_domain_layer"] == tables
 
     def test_measure_reports_size_bound_before_lemmas(self, monkeypatch):
         failed = LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=4 z=2")
@@ -279,6 +279,29 @@ class TestSearch:
         assert rows.splitlines() == [
             f"2\t{r.n}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}" for r in iter_search(2, 6)
         ]
+
+    def test_empty_sweep_opens_no_pool(self, monkeypatch, capsys):
+        # No lengths means no tasks: the sweep runs in process, whatever the
+        # job count, and reports nothing.
+        sizes: list[int] = []
+        monkeypatch.setattr("lynlz.bounds.Pool", lambda processes: RecordingPool(sizes, processes))
+        summary = exhaustive_search(2, 0, jobs=4)
+        assert (summary.total, summary.per_length, summary.max_ratio) == (0, [], None)
+        assert list(iter_search(2, 0)) == []
+        empty = ("search", "--sigma", "2", "--max-len", "0", "--jobs", "2")
+        for fmt in ("human", "json", "tsv"):
+            assert main([*empty, "--format", fmt]) == 0
+        assert sizes == []
+        captured = capsys.readouterr()
+        assert captured.out.startswith("searched 0 strings over 2 letters")
+        assert captured.err == ""
+        with pytest.raises(ValueError, match="max length must be >= 0"):
+            exhaustive_search(2, -1, jobs=1)
+        for fmt in ("human", "tsv"):
+            assert main(["search", "--sigma", "2", "--max-len", "-3", "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", "error: max length must be >= 0\n")
+        assert sizes == []
 
     def test_alphabet_bounds(self):
         with pytest.raises(ValueError):

@@ -261,12 +261,12 @@ class TestPartitionCommand:
 
 class TestComputeOnce:
     """Each command parses its input once per factorization and builds at
-    most one domain table."""
+    most one domain layer."""
 
     def test_verify(self, capsys, call_counts):
         code, _ = run(capsys, "verify", "--text", generate_family(5).decode(), "--format", "json")
         assert code == 0
-        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1, "_domain_table": 1}
+        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1, "_domain_layer": 1}
 
     def test_partition_builds_no_table(self, capsys, call_counts):
         code, _ = run(capsys, "partition", "--text", FIG_TEXT, "--format", "json")
@@ -276,7 +276,7 @@ class TestComputeOnce:
     def test_domains(self, capsys, call_counts):
         code, _ = run(capsys, "domains", "--text", FIG_TEXT, "--format", "json")
         assert code == 0
-        assert call_counts == {"lyndon_factorize": 1, "_domain_table": 1}
+        assert call_counts == {"lyndon_factorize": 1, "_domain_layer": 1}
 
 
 class TestUsage:

@@ -13,10 +13,12 @@ from conftest import (
     sixteen_run_decomposition,
     unit_run_domain,
 )
+from dense_reference import dense_groups, dense_table, dense_tandems, dense_verify_lemmas
 from lynlz import (
     CanonicalDecomposition,
     Cluster,
     IntegrityError,
+    LZFactorization,
     Span,
     all_domains,
     boundary_budget,
@@ -27,9 +29,10 @@ from lynlz import (
     find_tandem_domains,
     generate_family,
     lyndon_factorize,
+    lz_factorize,
     verify_lemmas,
 )
-from lynlz.domains import LemmaCheck, _compute, _domain_table, _run_starts
+from lynlz.domains import LemmaCheck, _compute, _domain_layer, _empty_window_failures, _run_starts
 
 
 @pytest.fixture
@@ -113,21 +116,30 @@ class TestAllDomains:
                 assert lf.runs[dom.j - 1].start == first
 
     def test_table_matches_per_entry_search(self):
-        # The table resumes each order's search at the previous order's
-        # occurrence and stops searching once it is trivial; _compute searches
-        # every entry from the text's start.
+        # The layer resumes each order's search at the previous order's
+        # occurrence and stops at the first empty order e_i; _compute searches
+        # every entry from the text's start.  all_domains fills in the empty
+        # orders and must list exactly the dense reference table.
         for alphabet, max_len in ((b"ab", 12), (b"abc", 7)):
             for n in range(1, max_len + 1):
                 for tup in product(alphabet, repeat=n):
-                    lf = lyndon_factorize(bytes(tup))
+                    s = bytes(tup)
+                    lf = lyndon_factorize(s)
                     starts = _run_starts(lf)
                     reference = {
                         (i, d): _compute(lf, i, d, starts)
                         for i in range(1, lf.m + 1)
                         for d in range(1, lf.m - i + 2)
                     }
-                    table = _domain_table(lf)
-                    assert list(table.items()) == list(reference.items()), bytes(tup)
+                    layer = _domain_layer(lf)
+                    for i, row in enumerate(layer.rows, 1):
+                        e = layer.first_empty(i)
+                        assert list(row) == [reference[(i, d)] for d in range(1, e)], s
+                        assert not any(dom.is_empty for dom in row), s
+                        assert all(reference[(i, d)].is_empty for d in range(e, lf.m - i + 2)), s
+                    domains = all_domains(lf)
+                    assert domains == list(reference.values()), s
+                    assert domains == list(dense_table(lf).values()), s
 
 
 class TestTandemDomains:
@@ -376,3 +388,77 @@ class TestLemmaCheck:
         c.record(True)
         c.record(True, "i={} d={}", 1, 2)
         assert (c.instances, c.failures, c.counterexample) == (2, 0, None)
+
+    def test_record_many_keeps_first_failure(self):
+        c = LemmaCheck("x")
+        c.record_many(5)
+        c.record_many(3, 2, "i={} d={}", 2, 4)
+        c.record(False, "i={} d={}", 1, 1)
+        c.record_many(4, 4, "i={} d={}", 9, 9)
+        assert (c.instances, c.failures, c.counterexample) == (13, 7, "i=2 d=4")
+
+
+def _reference_inputs():
+    """Every binary string up to length 12, every ternary one up to 7, family k = 2..24."""
+    for alphabet, max_len in ((b"ab", 12), (b"abc", 7)):
+        for n in range(1, max_len + 1):
+            for tup in product(alphabet, repeat=n):
+                yield bytes(tup)
+    for k in range(2, 25):
+        yield generate_family(k)
+
+
+def _verdicts(report):
+    return (
+        report.m,
+        report.z,
+        report.t,
+        [(c.name, c.instances, c.failures, c.counterexample) for c in report.checks],
+    )
+
+
+class TestDenseReference:
+    """The sparse layer against the frozen dense implementation in dense_reference.py."""
+
+    def test_reports_match_dense_reference(self):
+        # Counted instances of empty domains must add up to the visited ones.
+        for s in _reference_inputs():
+            assert verify_lemmas(s) == dense_verify_lemmas(s), s
+
+    def test_tandems_and_groups_match_dense_reference(self):
+        for s in _reference_inputs():
+            lf = lyndon_factorize(s)
+            table = dense_table(lf)
+            assert find_tandem_domains(lf) == dense_tandems(lf, table), s
+            assert find_p_groups(lf) == dense_groups(lf, table), s
+
+    @pytest.mark.parametrize("s", [generate_family(6), generate_family(12), FIGURE_STRING])
+    @pytest.mark.parametrize("fault", ["windows-end-late", "no-boundaries", "contains-only-empty"])
+    def test_reductions_under_injected_faults(self, monkeypatch, s, fault):
+        # Counted instances are exact only if failures are found where they
+        # are: break the predicates the reductions rely on and compare the
+        # failing reports field by field.
+        if fault == "windows-end-late":
+            # Windows ending before `cutoff` hold no phrase start, so some
+            # empty tails fail for their lowest orders and pass above them.
+            real = LZFactorization.boundaries_in
+            cutoff = len(s) * 2 // 3
+
+            def boundaries_in(self, window):
+                return 0 if window.end < cutoff else real(self, window)
+
+            monkeypatch.setattr(LZFactorization, "boundaries_in", boundaries_in)
+            lf = lyndon_factorize(s)
+            layer = _domain_layer(lf)
+            lz = lz_factorize(s)
+            assert any(
+                0 < _empty_window_failures(layer, lz, i) < lf.m - i + 2 - layer.first_empty(i)
+                for i in range(1, lf.m + 1)
+            )
+        elif fault == "no-boundaries":
+            monkeypatch.setattr(LZFactorization, "boundaries_in", lambda self, window: 0)
+        else:
+            monkeypatch.setattr(Span, "contains", lambda self, other: other.is_empty)
+        sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
+        assert not dense.passed
+        assert _verdicts(sparse) == _verdicts(dense)
