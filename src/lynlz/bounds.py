@@ -8,8 +8,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .domains import Domain, _dom1_partition, extended_domain, verify_lemmas
 from .errors import IntegrityError
@@ -20,8 +19,7 @@ from .text import Span
 _R = TypeVar("_R")
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Verdict of the run-count vs phrase-count bound for one string."""
 
     m: int
@@ -31,8 +29,7 @@ class TheoremReport:
     slack: int  # 2z - m
 
 
-@dataclass(frozen=True)
-class ExtdomPartition:
+class ExtdomPartition(NamedTuple):
     """Tiling of the text by order-1 extended domains, stripped right to left."""
 
     domains: tuple[Domain, ...]
@@ -68,10 +65,23 @@ def check_theorem(s: bytes) -> TheoremReport:
     return TheoremReport(m=m, z=z, t=t, passes=m < 2 * z, slack=2 * z - m)
 
 
+def family_length(k: int) -> int:
+    """Length of ``generate_family(k)``, k(k+1)(k+2)/2 - k + 2, without building it.
+
+    B_i has i - 1 pieces a^i b a^j b (j = 1 .. i-1) and a^i b, so
+    |B_i| = (i-1)(i+2) + i(i-1)/2 + i + 1 = 3i(i+1)/2 - 1; summing over
+    i = 1 .. k and adding B_0 and the final 'a' gives the closed form.
+    """
+    if k < 0:
+        raise ValueError("family index must be >= 0")
+    return k * (k + 1) * (k + 2) // 2 - k + 2
+
+
 def generate_family(k: int) -> bytes:
     """String number k of the lower-bound family: blocks B_0 .. B_k plus a final 'a'.
 
     B_0 = b, and B_i = (a^i b a^1 b)(a^i b a^2 b) ... (a^i b a^{i-1} b) a^i b.
+    Its length is ``family_length(k)``, about k^3 / 2.
     """
     if k < 0:
         raise ValueError("family index must be >= 0")
@@ -84,8 +94,7 @@ def generate_family(k: int) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(frozen=True)
-class FamilyCounts:
+class FamilyCounts(NamedTuple):
     """Closed-form factorization sizes for family string k (valid for k >= 2)."""
 
     k: int
@@ -118,8 +127,7 @@ def expected_lz_phrases(k: int) -> list[bytes]:
     return phrases
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """Factorization sizes for one enumerated string."""
 
     sigma: int
@@ -323,6 +331,8 @@ def _in_order(fn: Callable[[_Task], _R], tasks: list[_Task], jobs: int) -> Itera
     if jobs == 1:
         yield from map(fn, tasks)
     else:
+        from multiprocessing import Pool  # loaded only here: every other command skips it
+
         with Pool(processes=jobs) as pool:  # __exit__ terminates, aborting on violations
             yield from pool.imap(fn, tasks, chunksize=1)
 

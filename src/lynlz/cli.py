@@ -19,6 +19,7 @@ from .bounds import (
     expected_counts,
     expected_lz_phrases,
     extdom_partition,
+    family_length,
     generate_family,
 )
 from .domains import (
@@ -44,6 +45,9 @@ from .text import Span
 # recurses once per factor, and 512 levels stay well inside Python's default
 # recursion limit (and take well under a second).
 _LYNDON_ORACLE_LIMIT = 512
+
+# Longest family string `family` builds: about k^3/2 bytes, so k <= 270.
+_FAMILY_LIMIT = 10_000_000
 
 
 def render_bytes(data: bytes) -> str:
@@ -312,6 +316,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    n = family_length(args.k)  # ValueError below k = 0
+    if n > _FAMILY_LIMIT:
+        raise ValueError(f"family k={args.k} has {n} bytes, above the limit of {_FAMILY_LIMIT}")
     s = generate_family(args.k)
     out: dict = {"k": args.k, "length": len(s), "string": render_bytes(s)}
     if args.k >= 2:

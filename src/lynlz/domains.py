@@ -13,7 +13,8 @@ one of those guarantees on a concrete input string.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize
@@ -25,8 +26,7 @@ def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """The order-d domain of run F_i, anchored at run F_j (j == i when empty).
 
     ``span`` covers F_j .. F_{i-1} (empty marker anchored at F_i's start when
@@ -54,8 +54,7 @@ def extended_domain(dom: Domain) -> Span:
     return Span(dom.span.start, dom.span.end + dom.associated.length)
 
 
-@dataclass(frozen=True)
-class TandemDomain:
+class TandemDomain(NamedTuple):
     """Pair dom_{d+1}(F_i), dom_d(F_{i+1}) whose extended spans coincide.
 
     Writing F_i = F_{i+1} .. F_{i+d} x, the leftmost occurrence of
@@ -70,8 +69,7 @@ class TandemDomain:
     associated: Span
 
 
-@dataclass(frozen=True)
-class PGroup:
+class PGroup(NamedTuple):
     """p consecutive domains of stepwise decreasing order with one shared extended span."""
 
     i: int
@@ -81,8 +79,7 @@ class PGroup:
     associated: Span
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """Maximal block of non-loose domains found by the canonical scan.
 
     A cluster of size >= 2 is a p-group; a size-1 cluster is a lone domain.
@@ -95,8 +92,7 @@ class Cluster:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(NamedTuple):
     """Left-to-right sequence of clusters and loose subdomains of a root domain."""
 
     root: Domain
@@ -115,8 +111,7 @@ class CanonicalDecomposition:
         return len(self.loose)
 
 
-@dataclass(frozen=True)
-class BoundaryBudget:
+class BoundaryBudget(NamedTuple):
     """Lower-bound accounting for phrase starts inside an extended domain.
 
     ``S`` counts boundaries contributed by clusters (size - 1 each),
@@ -528,8 +523,7 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of re-checking every structural guarantee on one input string."""
 
     text: bytes
@@ -591,31 +585,41 @@ def verify_lemmas(s: bytes) -> LemmaReport:
       dom_d(F_i) are empty and anchor at F_i, so ``cur >= prev`` reads
       ``i >= i``.  Orders up to e_i are evaluated and the rest count as
       passing.
-    - ``factor-order-dominates-runs`` evaluates all m(m-1)/2 comparisons,
-      batched per run.
+    - ``factor-order-dominates-runs`` (f_j > F_i for all j < i) first
+      evaluates the m - 1 adjacent instances f_{i-1} > F_i and the m runs'
+      F_k >= f_k.  When all of them hold, every pair holds by the chain
+      f_j > F_{j+1} >= f_{j+1} > ... >= f_{i-1} > F_i, so the m(m-1)/2
+      instances are counted as passing.  (F_k = f_k^{e_k} starts with f_k,
+      so F_k >= f_k holds in every correct factorization; it is evaluated
+      rather than assumed, so the shortcut stays exact on a corrupt one.)
+      Otherwise every pair is evaluated, batched per run.
     """
     lf = lyndon_factorize(s)
     lz = lz_factorize(s)
     checks = {name: LemmaCheck(name) for name in CHECK_NAMES}
-    report = LemmaReport(text=s, m=lf.m, z=lz.z, checks=tuple(checks.values()))
     m = lf.m
     if m == 0:
-        return report
+        return LemmaReport(text=s, m=m, z=lz.z, checks=tuple(checks.values()))
     runs = lf.runs
     run_bytes = [span.slice(s) for span in runs]
     factor_bytes = [lf.factor_bytes(i) for i in range(1, m + 1)]
 
     c = checks["factor-order-dominates-runs"]
-    for i in range(2, m + 1):
-        oks = list(map(run_bytes[i - 1].__lt__, factor_bytes[: i - 1]))  # f_j > F_i for j < i
-        bad = len(oks) - sum(oks)
-        c.record_many(len(oks), bad, "j={} i={}", oks.index(False) + 1 if bad else 0, i)
+    if all(map(bytes.__gt__, factor_bytes, run_bytes[1:])) and all(
+        map(bytes.__ge__, run_bytes, factor_bytes)
+    ):
+        c.record_many(m * (m - 1) // 2)
+    else:
+        for i in range(2, m + 1):
+            oks = list(map(run_bytes[i - 1].__lt__, factor_bytes[: i - 1]))  # f_j > F_i, j < i
+            bad = len(oks) - sum(oks)
+            c.record_many(len(oks), bad, "j={} i={}", oks.index(False) + 1 if bad else 0, i)
 
     try:
         layer = _domain_layer(lf)
     except IntegrityError as exc:
         checks["window-at-anchor-prefix"].record(False, "{}", exc)
-        return report
+        return LemmaReport(text=s, m=m, z=lz.z, checks=tuple(checks.values()))
     rows = layer.rows
     nonempty = layer.nonempty()
 
@@ -799,4 +803,4 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c.record(tiles and lz.z >= _ceil_half(m + t), "t={} m={} z={}", t, m, lz.z)
 
     checks["size-bound"].record(m < 2 * lz.z, "m={} z={}", m, lz.z)
-    return replace(report, t=t)
+    return LemmaReport(text=s, m=m, z=lz.z, checks=tuple(checks.values()), t=t)

@@ -143,7 +143,9 @@ def oracle_lyndon_dp(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LyndonFac
         for end in range(pos + 1, n + 1):
             piece = s[pos:end]
             if prev is not None and piece > prev:
-                continue
+                # Every longer piece from pos has this one as a proper prefix,
+                # so it is larger still and > prev: no solution is skipped.
+                break
             if not is_lyndon(piece):
                 continue
             chosen.append((pos, end - pos))

@@ -9,23 +9,34 @@ extensions, otherwise the first mismatching byte decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class _SpanFields(NamedTuple):
+    start: int
+    end: int
+
+
+class Span(_SpanFields):
     """1-based inclusive interval ``[start..end]`` inside a text.
 
     The empty span anchored at position ``p`` is encoded as ``Span(p, p - 1)``;
     this keeps span arithmetic uniform (length 0, start = anchor).
+
+    A named tuple, so fields are read at C speed; ``__new__`` validates every
+    construction, including ``_replace``, ``pickle`` and ``copy``.
     """
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 1 or self.end < self.start - 1:
-            raise ValueError(f"invalid span [{self.start}..{self.end}]")
+    def __new__(cls, start: int, end: int) -> "Span":
+        if start < 1 or end < start - 1:
+            raise ValueError(f"invalid span [{start}..{end}]")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Span":
+        return cls(*iterable)
 
     @classmethod
     def empty(cls, anchor: int) -> "Span":

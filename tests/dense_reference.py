@@ -10,8 +10,6 @@ report against report, with instances that are really visited.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from lynlz.domains import (
     CHECK_NAMES,
     Cluster,
@@ -315,4 +313,4 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
     c.record(tiles and lz.z >= _ceil_half(m + t), "t={} m={} z={}", t, m, lz.z)
 
     checks["size-bound"].record(m < 2 * lz.z, "m={} z={}", m, lz.z)
-    return replace(report, t=t)
+    return report._replace(t=t)

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import lynlz
 from conftest import FIGURE_STRING
 from lynlz import (
+    Domain,
     IntegrityError,
     LemmaCheck,
     LemmaReport,
+    SearchRecord,
     Span,
     all_domains,
     check_theorem,
@@ -22,7 +30,7 @@ from lynlz import (
     lz_factorize,
     verify_lemmas,
 )
-from lynlz.bounds import _measure
+from lynlz.bounds import _measure, family_length
 from lynlz.cli import main
 
 
@@ -39,6 +47,56 @@ class TestGenerateFamily:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             generate_family(-1)
+        with pytest.raises(ValueError):
+            family_length(-1)
+
+    def test_length_closed_form(self):
+        assert [family_length(k) for k in range(61)] == [len(generate_family(k)) for k in range(61)]
+        # The CLI's 10^7-byte bound falls between k = 270 and k = 271.
+        assert (family_length(270), family_length(271)) == (9_950_852, 10_061_419)
+
+
+class TestRecords:
+    """The immutable records are named tuples that keep the former dataclass observables."""
+
+    @pytest.mark.parametrize(
+        "record, text",
+        [
+            (Span(1, 2), "Span(start=1, end=2)"),
+            (
+                Domain(i=2, d=1, j=1, span=Span(1, 1), associated=Span(1, 1)),
+                "Domain(i=2, d=1, j=1, span=Span(start=1, end=1), associated=Span(start=1, end=1))",
+            ),
+            (
+                SearchRecord(sigma=2, n=2, string=b"ab", m=1, z=2),
+                "SearchRecord(sigma=2, n=2, string=b'ab', m=1, z=2)",
+            ),
+            (check_theorem(FIGURE_STRING), "TheoremReport(m=5, z=8, t=1, passes=True, slack=11)"),
+        ],
+    )
+    def test_value_semantics(self, record, text):
+        assert repr(record) == text
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert record == type(record)(*fields) == fields
+        assert hash(record) == hash(fields)
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(clone) is type(record) and clone == record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], fields[0])
+
+
+class TestImportCost:
+    def test_import_loads_no_multiprocessing(self):
+        # Only `search --jobs N` with N > 1 opens a pool; the import must not pay for it.
+        src = str(Path(lynlz.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import lynlz; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('multiprocessing')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        assert proc.stdout == "[]\n"
 
 
 class TestExpectedCounts:
@@ -256,7 +314,7 @@ class TestSearch:
 
     def test_worker_count_clamped(self, monkeypatch, capsys):
         sizes: list[int] = []
-        monkeypatch.setattr("lynlz.bounds.Pool", lambda processes: RecordingPool(sizes, processes))
+        monkeypatch.setattr("multiprocessing.Pool", lambda processes: RecordingPool(sizes, processes))
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         serial = exhaustive_search(2, 6, jobs=1)
         assert exhaustive_search(2, 6, jobs=100_000) == serial  # clamped to the CPU count
@@ -284,7 +342,7 @@ class TestSearch:
         # No lengths means no tasks: the sweep runs in process, whatever the
         # job count, and reports nothing.
         sizes: list[int] = []
-        monkeypatch.setattr("lynlz.bounds.Pool", lambda processes: RecordingPool(sizes, processes))
+        monkeypatch.setattr("multiprocessing.Pool", lambda processes: RecordingPool(sizes, processes))
         summary = exhaustive_search(2, 0, jobs=4)
         assert (summary.total, summary.per_length, summary.max_ratio) == (0, [], None)
         assert list(iter_search(2, 0)) == []

@@ -215,6 +215,16 @@ class TestFamilyCommand:
         assert code == 0
         assert json.loads(out)["string"] == "ba"
 
+    @pytest.mark.parametrize("k", [271, 100_000])
+    def test_refuses_above_byte_limit(self, capsys, monkeypatch, k):
+        # Refused from the closed-form length, before any byte is generated.
+        monkeypatch.setattr("lynlz.cli.generate_family", lambda k: pytest.fail("generated"))
+        assert main(["family", "--k", str(k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: family k={k} has ")
+        assert captured.err.endswith(" bytes, above the limit of 10000000\n")
+
 
 class TestSearchCommand:
     def test_tsv_stream(self, capsys):

@@ -13,11 +13,13 @@ from conftest import (
     sixteen_run_decomposition,
     unit_run_domain,
 )
+import dense_reference
 from dense_reference import dense_groups, dense_table, dense_tandems, dense_verify_lemmas
 from lynlz import (
     CanonicalDecomposition,
     Cluster,
     IntegrityError,
+    LyndonFactorization,
     LZFactorization,
     Span,
     all_domains,
@@ -461,4 +463,37 @@ class TestDenseReference:
             monkeypatch.setattr(Span, "contains", lambda self, other: other.is_empty)
         sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
         assert not dense.passed
+        assert _verdicts(sparse) == _verdicts(dense)
+
+    @pytest.mark.parametrize(
+        "s, runs, factors",
+        [
+            # One run per byte: f_{i-1} > F_i fails at every ascent.
+            pytest.param(
+                FIGURE_STRING,
+                [(p, p) for p in range(1, 26)],
+                [(p, p) for p in range(1, 26)],
+                id="one-run-per-byte",
+            ),
+            # Every adjacent f_{i-1} > F_i holds, but F_2 = a does not start with
+            # f_2 = d, so f_1 = b > F_3 = cd fails with no adjacent failure.
+            pytest.param(
+                b"bacd", [(1, 1), (2, 2), (3, 4)], [(1, 1), (4, 4), (3, 3)], id="run-without-its-factor"
+            ),
+        ],
+    )
+    def test_factor_order_shortcut_under_broken_order(self, monkeypatch, s, runs, factors):
+        # The m - 1 adjacent instances stand for all m(m-1)/2 only while they
+        # hold; a broken factorization must get the per-pair counts and witness.
+        def broken(text):
+            return LyndonFactorization(
+                text=text,
+                factors=tuple((Span(*f), 1) for f in factors),
+                runs=tuple(Span(*r) for r in runs),
+            )
+
+        monkeypatch.setattr("lynlz.domains.lyndon_factorize", broken)
+        monkeypatch.setattr(dense_reference, "lyndon_factorize", broken)
+        sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
+        assert dense.check("factor-order-dominates-runs").failures > 0
         assert _verdicts(sparse) == _verdicts(dense)

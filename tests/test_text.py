@@ -149,10 +149,17 @@ class TestSpan:
         assert sp.length == 0
         assert sp.slice(FIGURE_STRING) == b""
 
-    @pytest.mark.parametrize("start, end", [(0, 3), (5, 3), (-1, -1)])
+    @pytest.mark.parametrize("start, end", [(0, 3), (5, 3), (-1, -1), (0, 1)])
     def test_invalid_rejected(self, start, end):
         with pytest.raises(ValueError):
             Span(start, end)
+
+    def test_replace_validates(self):
+        assert Span(2, 5)._replace(end=1) == Span.empty(2)
+        with pytest.raises(ValueError, match=r"invalid span \[0\.\.5\]"):
+            Span(2, 5)._replace(start=0)
+        with pytest.raises(AttributeError):
+            Span(2, 5).width = 4  # no instance dict
 
     def test_contains_and_overlaps(self):
         outer, inner, disjoint = Span(2, 10), Span(3, 5), Span(11, 12)
