@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .domains import Domain, _dom1_partition, extended_domain, verify_lemmas
 from .errors import IntegrityError
@@ -160,24 +160,13 @@ class LengthSummary:
     max_ratio: float | None = None
     max_ratio_string: bytes | None = None
 
-    def absorb(self, record: SearchRecord) -> None:
-        self.count += 1
-        self._keep_max(record.diff, record.string, record.ratio, record.string)
-
-    def _keep_max(
-        self,
-        diff: int | None,
-        diff_string: bytes | None,
-        ratio: float | None,
-        ratio_string: bytes | None,
-    ) -> None:
-        """Keep the larger extremes; a tie keeps the string seen first."""
-        if diff is not None and (self.max_diff is None or diff > self.max_diff):
-            self.max_diff = diff
-            self.max_diff_string = diff_string
-        if ratio is not None and (self.max_ratio is None or ratio > self.max_ratio):
-            self.max_ratio = ratio
-            self.max_ratio_string = ratio_string
+    def merge(self, later: LengthSummary) -> None:
+        """Fold in the summary of later strings of the same length; a tie keeps the earlier string."""
+        self.count += later.count
+        if later.max_diff is not None and (self.max_diff is None or later.max_diff > self.max_diff):
+            self.max_diff, self.max_diff_string = later.max_diff, later.max_diff_string
+        if later.max_ratio is not None and (self.max_ratio is None or later.max_ratio > self.max_ratio):
+            self.max_ratio, self.max_ratio_string = later.max_ratio, later.max_ratio_string
 
 
 @dataclass
@@ -229,23 +218,18 @@ def iter_search(
     *,
     dedupe: bool = False,
     check_lemmas: bool = False,
+    jobs: int | None = 1,
     limit: int = 10_000_000,
 ) -> Iterator[SearchRecord]:
     """Enumerate all strings of length 1..max_len in length-then-lex order.
 
-    Raises IntegrityError on the first string violating any verified bound.
+    Strings are measured a task at a time (see ``_plan``), in up to ``jobs``
+    processes (None: ``default_jobs()``); records arrive in the same order for
+    every job count.  Raises IntegrityError on the first task holding a string
+    that violates any verified bound, after the records of the tasks before it.
     """
-    return _search_records(sigma, max_len, dedupe, check_lemmas, 1, limit)
-
-
-def _search_records(
-    sigma: int, max_len: int, dedupe: bool, check_lemmas: bool, jobs: int | None, limit: int
-) -> Iterator[SearchRecord]:
-    """Every record in enumeration order, measured in up to ``jobs`` processes."""
     tasks, jobs = _plan(sigma, max_len, dedupe, check_lemmas, jobs, limit)
-    # In process a task streams its records; a worker process returns them as one list.
-    worker = _measured if jobs == 1 else _record_worker
-    for records in _in_order(worker, tasks, jobs):
+    for records in _in_order(_measured, tasks, jobs):
         yield from records
 
 
@@ -257,31 +241,45 @@ def _strings(letters: bytes, n: int, prefix: bytes, dedupe: bool) -> Iterator[by
             yield s
 
 
-def _budget(sigma: int, max_len: int, limit: int) -> int:
-    total = sum(sigma**n for n in range(1, max_len + 1))
-    if total > limit:
-        raise ValueError(f"enumeration of {total} strings exceeds the cap of {limit}")
-    return total
+def _budget(sigma: int, max_len: int, limit: int) -> None:
+    total = 0
+    for n in range(1, max_len + 1):
+        total += sigma**n
+        if total > limit:  # stop here: the full count can have thousands of digits
+            raise ValueError(
+                f"enumerating lengths 1..{max_len} over {sigma} letters"
+                f" exceeds the cap of {limit} strings"
+            )
 
+
+# Most strings one task enumerates.  It bounds the records a task returns, and
+# so the memory of a worker and of the parent, at every job count.
+_TASK_STRINGS = 4096
 
 _Task = tuple[int, int, bytes, bool, bool]  # sigma, n, prefix, dedupe, check_lemmas
 
 
-def _measured(task: _Task) -> Iterator[SearchRecord]:
+def _measured(task: _Task) -> list[SearchRecord]:
     sigma, n, prefix, dedupe, check_lemmas = task
-    for s in _strings(_alphabet(sigma), n, prefix, dedupe):
-        yield _measure(s, sigma, check_lemmas)
+    return [_measure(s, sigma, check_lemmas) for s in _strings(_alphabet(sigma), n, prefix, dedupe)]
 
 
-def _worker(task: _Task) -> tuple[LengthSummary, int]:
-    summary = LengthSummary(n=task[1])
-    for record in _measured(task):
-        summary.absorb(record)
-    return summary, task[1]
-
-
-def _record_worker(task: _Task) -> list[SearchRecord]:
-    return list(_measured(task))
+def _worker(task: _Task) -> LengthSummary:
+    n = task[1]
+    records = _measured(task)
+    if not records:  # a dedupe task can hold no canonical string
+        return LengthSummary(n=n)
+    # max() returns the first of equal maxima, so a tie keeps the earliest string.
+    by_diff = max(records, key=lambda r: r.diff)
+    by_ratio = max(records, key=lambda r: r.ratio)
+    return LengthSummary(
+        n=n,
+        count=len(records),
+        max_diff=by_diff.diff,
+        max_diff_string=by_diff.string,
+        max_ratio=by_ratio.ratio,
+        max_ratio_string=by_ratio.string,
+    )
 
 
 def default_jobs() -> int:
@@ -291,36 +289,25 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _merge(
-    per_length: dict[int, LengthSummary],
-    partials: Iterable[tuple[LengthSummary, int]],
-) -> None:
-    """Fold partial summaries in enumeration order (ties keep the earliest string)."""
-    for partial, n in partials:
-        target = per_length[n]
-        target.count += partial.count
-        target._keep_max(
-            partial.max_diff, partial.max_diff_string, partial.max_ratio, partial.max_ratio_string
-        )
-
-
 def _plan(
     sigma: int, max_len: int, dedupe: bool, check_lemmas: bool, jobs: int | None, limit: int
 ) -> tuple[list[_Task], int]:
-    """Tasks in enumeration order, split by string prefix when jobs > 1, and the worker count.
+    """Tasks in enumeration order, and the worker count.
 
-    The worker count is clamped to the CPU count and the number of tasks, and
-    is at least 1, so an empty sweep runs in process.
+    Each length n is split by the shortest prefix p with sigma^(n-p) <= _TASK_STRINGS,
+    whatever the job count.  The worker count is clamped to the CPU count and
+    the number of tasks, and is at least 1, so an empty sweep runs in process.
     """
     if max_len < 0:
         raise ValueError("max length must be >= 0")
+    letters = _alphabet(sigma)
     _budget(sigma, max_len, limit)
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    letters = _alphabet(sigma)
-    prefix_len = 3 if jobs > 1 else 0
     tasks = []
     for n in range(1, max_len + 1):
-        p = min(prefix_len, n - 1)
+        p = 0
+        while sigma ** (n - p) > _TASK_STRINGS:
+            p += 1
         for tup in product(letters, repeat=p):
             tasks.append((sigma, n, bytes(tup), dedupe, check_lemmas))
     return tasks, max(1, min(jobs, os.cpu_count() or 1, len(tasks)))
@@ -348,18 +335,19 @@ def exhaustive_search(
 ) -> SearchSummary:
     """Sweep every string up to max_len, verifying bounds and tracking extremes.
 
-    Work is split by string prefix across processes; partial summaries merge
-    in enumeration order, so the result is deterministic.  The first
-    violation found anywhere aborts the sweep with the witness string.
+    Each task (see ``_plan``) is summarized where it runs, and the summaries
+    merge in task order, so the result is the same for every job count.  The
+    first violation found anywhere aborts the sweep with the witness string.
     """
     tasks, jobs = _plan(sigma, max_len, dedupe, check_lemmas, jobs, limit)
     per_length = {n: LengthSummary(n=n) for n in range(1, max_len + 1)}
-    _merge(per_length, _in_order(_worker, tasks, jobs))
+    for part in _in_order(_worker, tasks, jobs):
+        per_length[part.n].merge(part)
     return SearchSummary(
         sigma=sigma,
         max_len=max_len,
         dedupe=dedupe,
         lemmas_checked=check_lemmas,
         total=sum(ls.count for ls in per_length.values()),
-        per_length=[per_length[n] for n in range(1, max_len + 1)],
+        per_length=list(per_length.values()),
     )

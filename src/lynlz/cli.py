@@ -14,13 +14,13 @@ import sys
 from pathlib import Path
 
 from .bounds import (
-    _search_records,
     exhaustive_search,
     expected_counts,
     expected_lz_phrases,
     extdom_partition,
     family_length,
     generate_family,
+    iter_search,
 )
 from .domains import (
     Cluster,
@@ -50,15 +50,13 @@ _LYNDON_ORACLE_LIMIT = 512
 _FAMILY_LIMIT = 10_000_000
 
 
+# render_bytes' escapes: every byte outside printable ASCII, and the backslash.
+_ESCAPES = {b: f"\\x{b:02x}" for b in range(256) if not 0x20 <= b < 0x7F or b == 0x5C}
+
+
 def render_bytes(data: bytes) -> str:
     """Printable rendering; non-ASCII and control bytes become \\xNN escapes."""
-    out = []
-    for byte in data:
-        if 0x20 <= byte < 0x7F and byte != 0x5C:
-            out.append(chr(byte))
-        else:
-            out.append(f"\\x{byte:02x}")
-    return "".join(out)
+    return data.decode("latin-1").translate(_ESCAPES)
 
 
 def _span_dict(span: Span) -> dict:
@@ -392,9 +390,15 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.format == "tsv":
-        for rec in _search_records(
-            args.sigma, args.max_len, args.dedupe, args.check_lemmas, args.jobs, args.limit
-        ):
+        records = iter_search(
+            args.sigma,
+            args.max_len,
+            dedupe=args.dedupe,
+            check_lemmas=args.check_lemmas,
+            jobs=args.jobs,
+            limit=args.limit,
+        )
+        for rec in records:
             print(
                 f"{rec.sigma}\t{rec.n}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"
             )

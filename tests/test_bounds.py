@@ -30,7 +30,7 @@ from lynlz import (
     lz_factorize,
     verify_lemmas,
 )
-from lynlz.bounds import _measure, family_length
+from lynlz.bounds import _alphabet, _is_canonical, _measure, _plan, _strings, family_length
 from lynlz.cli import main
 
 
@@ -320,7 +320,7 @@ class TestSearch:
         assert exhaustive_search(2, 6, jobs=100_000) == serial  # clamped to the CPU count
         monkeypatch.setenv("LYNLZ_JOBS", "100000")
         assert exhaustive_search(2, 6) == serial
-        # sigma 1, lengths 1..2 gives two tasks (prefixes "" and "a").
+        # sigma 1, lengths 1..2 gives two tasks, one per length.
         exhaustive_search(1, 2, jobs=64)
         assert sizes == [3, 3, 2]
         # `search --format tsv` goes through the same split and pool.
@@ -337,6 +337,50 @@ class TestSearch:
         assert rows.splitlines() == [
             f"2\t{r.n}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}" for r in iter_search(2, 6)
         ]
+
+    @pytest.mark.parametrize("sigma, max_len", [(1, 20), (2, 14), (3, 9), (26, 3)])
+    def test_plan_tasks_hold_at_most_4096_strings(self, sigma, max_len):
+        # Each length is split by the shortest prefix that leaves at most 4096
+        # strings per task, whatever the job count.
+        tasks, _ = _plan(sigma, max_len, False, False, 1, 10**7)
+        assert tasks == _plan(sigma, max_len, False, False, 2, 10**7)[0]
+        for _, n, prefix, _, _ in tasks:
+            size = sum(1 for _ in _strings(_alphabet(sigma), n, prefix, False))
+            assert size == sigma ** (n - len(prefix)) <= 4096
+            assert not prefix or sigma * size > 4096  # no shorter prefix would do
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_plan_concatenates_to_full_enumeration(self, dedupe):
+        tasks, _ = _plan(3, 9, dedupe, False, 1, 10**7)
+        assert len(tasks) > 9  # lengths 8 and 9 are split
+        planned = [s for _, n, prefix, *_ in tasks for s in _strings(b"abc", n, prefix, dedupe)]
+        full = [bytes(t) for n in range(1, 10) for t in product(b"abc", repeat=n)]
+        assert planned == [s for s in full if not dedupe or _is_canonical(s)]
+
+    def test_split_lengths_same_for_any_job_count(self):
+        # Lengths 13 and 14 are split into several tasks, whose summaries merge.
+        assert len(_plan(2, 14, False, False, 1, 10**7)[0]) > 14
+        assert exhaustive_search(2, 14, jobs=1) == exhaustive_search(2, 14, jobs=2)
+
+    def test_dedupe_keeps_every_extreme(self):
+        # A string and its relabeling onto the smallest letters, in the same
+        # order, have the same m and z, and the relabeled one sorts first.
+        def extremes(summary):
+            return [
+                (ls.n, ls.max_diff, ls.max_diff_string, ls.max_ratio, ls.max_ratio_string)
+                for ls in summary.per_length
+            ]
+
+        full = exhaustive_search(3, 7, jobs=1)
+        deduped = exhaustive_search(3, 7, dedupe=True, jobs=1)
+        assert deduped.total < full.total
+        assert extremes(deduped) == extremes(full)
+
+    def test_dedupe_tasks_without_canonical_strings(self):
+        # With 26 letters, length 3 is split by its first letter, and no string
+        # starting past 'c' uses only the smallest letters.
+        wide = exhaustive_search(26, 3, dedupe=True, jobs=1)
+        assert wide.per_length == exhaustive_search(3, 3, dedupe=True, jobs=1).per_length
 
     def test_empty_sweep_opens_no_pool(self, monkeypatch, capsys):
         # No lengths means no tasks: the sweep runs in process, whatever the

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
 from conftest import FIGURE_STRING
-from lynlz import LemmaCheck, LemmaReport, exhaustive_search, generate_family
+from lynlz import IntegrityError, LemmaCheck, LemmaReport, exhaustive_search, generate_family
+from lynlz.bounds import _measure
 from lynlz.domains import CHECK_NAMES
 from lynlz.cli import main, render_bytes
 from lynlz.lz import DEFAULT_ORACLE_LIMIT
@@ -258,6 +260,43 @@ class TestSearchCommand:
         code, _ = run(capsys, "search", "--sigma", "4", "--max-len", "20", "--limit", "1000")
         assert code == 2
 
+    def test_cap_refuses_huge_max_len(self, capsys):
+        # The count of strings up to length 200000 has about 60,000 digits; the
+        # cap is checked while summing, before the count gets that large.
+        assert main(["search", "--sigma", "2", "--max-len", "200000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: enumerating lengths 1..200000 over 2 letters exceeds the cap of 10000000 strings\n"
+        )
+
+    def test_tsv_rows_same_for_any_job_count_on_split_lengths(self, capsys):
+        argv = ("search", "--sigma", "2", "--max-len", "14", "--format", "tsv")
+        code1, out1 = run(capsys, *argv, "--jobs", "1")
+        code2, out2 = run(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert len(out1.splitlines()) == 2**15 - 2
+
+    def test_violation_stops_after_last_whole_task(self, capsys, monkeypatch):
+        # Length 13 is split into the tasks 'a…' and 'b…' of 4096 strings each;
+        # a violation inside 'b…' prints every row before that task.
+        witness = b"b" + b"ab" * 6
+
+        def failing(s, sigma, check_lemmas):
+            if s == witness:
+                raise IntegrityError(f"size bound violated: m=9, z=4, witness {s!r}")
+            return _measure(s, sigma, check_lemmas)
+
+        monkeypatch.setattr("lynlz.bounds._measure", failing)
+        code = main(["search", "--sigma", "2", "--max-len", "13", "--format", "tsv", "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"defect: size bound violated: m=9, z=4, witness {witness!r}\n"
+        rows = captured.out.splitlines()
+        assert len(rows) == 2**13 - 2 + 4096
+        assert rows[-1].split("\t")[2] == "a" + "b" * 12
+
 
 class TestPartitionCommand:
     def test_figure_json(self, capsys):
@@ -307,3 +346,16 @@ def test_render_bytes():
     assert render_bytes(b"abc") == "abc"
     assert render_bytes(b"\x00\x09\\") == "\\x00\\x09\\x5c"
     assert render_bytes(b"\xff") == "\\xff"
+
+
+def test_render_bytes_matches_per_byte_definition():
+    def per_byte(data: bytes) -> str:
+        return "".join(
+            chr(b) if 0x20 <= b < 0x7F and b != 0x5C else f"\\x{b:02x}" for b in data
+        )
+
+    rng = random.Random(8)
+    inputs = [bytes([b]) for b in range(256)] + [bytes(range(256)), bytes(range(255, -1, -1))]
+    inputs += [rng.randbytes(rng.randrange(64)) for _ in range(2000)]
+    for data in inputs:
+        assert render_bytes(data) == per_byte(data), data
