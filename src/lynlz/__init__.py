@@ -38,7 +38,7 @@ from .domains import (
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize, oracle_lyndon_dp
 from .lz import LZFactorization, lz_factorize, oracle_lz_naive
-from .text import Span, is_lyndon, leftmost_occurrence
+from .text import Span, is_lyndon
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "generate_family",
     "is_lyndon",
     "iter_search",
-    "leftmost_occurrence",
     "lyndon_factorize",
     "lz_factorize",
     "oracle_lyndon_dp",

@@ -178,12 +178,6 @@ class SearchSummary:
     total: int
     per_length: list[LengthSummary]
 
-    @property
-    def max_ratio(self) -> float | None:
-        """Largest m / z over the sweep; None for an empty sweep."""
-        ratios = [ls.max_ratio for ls in self.per_length if ls.max_ratio is not None]
-        return max(ratios, default=None)
-
 
 def _alphabet(sigma: int) -> bytes:
     if sigma < 1 or sigma > 26:
@@ -241,6 +235,11 @@ def _strings(letters: bytes, n: int, prefix: bytes, dedupe: bool) -> Iterator[by
             yield s
 
 
+# Longest length a sweep accepts.  No longer sweep could finish: at sigma >= 2 it
+# holds over 2^64 strings, and at sigma = 1 each length's witnesses are whole strings.
+_MAX_LEN = 64
+
+
 def _budget(sigma: int, max_len: int, limit: int) -> None:
     total = 0
     for n in range(1, max_len + 1):
@@ -250,6 +249,8 @@ def _budget(sigma: int, max_len: int, limit: int) -> None:
                 f"enumerating lengths 1..{max_len} over {sigma} letters"
                 f" exceeds the cap of {limit} strings"
             )
+        if n > _MAX_LEN:  # and here: with one letter the count is only max_len
+            raise ValueError(f"max length must be <= {_MAX_LEN}")
 
 
 # Most strings one task enumerates.  It bounds the records a task returns, and

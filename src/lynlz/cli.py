@@ -319,12 +319,11 @@ def _cmd_family(args: argparse.Namespace) -> int:
         raise ValueError(f"family k={args.k} has {n} bytes, above the limit of {_FAMILY_LIMIT}")
     s = generate_family(args.k)
     out: dict = {"k": args.k, "length": len(s), "string": render_bytes(s)}
-    if args.k >= 2:
-        counts = expected_counts(args.k)
+    if args.k >= 2 or args.check:
+        counts = expected_counts(args.k)  # ValueError below k = 2
         out["expected"] = {"m": counts.m_k, "z": counts.z_k}
     status = 0
     if args.check:
-        counts = expected_counts(args.k)  # ValueError below k = 2
         lf = lyndon_factorize(s)
         lz = lz_factorize(s)
         phrases = lz.phrase_texts()
@@ -389,28 +388,14 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    sweep = {key: getattr(args, key) for key in ("dedupe", "check_lemmas", "jobs", "limit")}
     if args.format == "tsv":
-        records = iter_search(
-            args.sigma,
-            args.max_len,
-            dedupe=args.dedupe,
-            check_lemmas=args.check_lemmas,
-            jobs=args.jobs,
-            limit=args.limit,
-        )
-        for rec in records:
+        for rec in iter_search(args.sigma, args.max_len, **sweep):
             print(
                 f"{rec.sigma}\t{rec.n}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"
             )
         return 0
-    summary = exhaustive_search(
-        args.sigma,
-        args.max_len,
-        dedupe=args.dedupe,
-        check_lemmas=args.check_lemmas,
-        jobs=args.jobs,
-        limit=args.limit,
-    )
+    summary = exhaustive_search(args.sigma, args.max_len, **sweep)
     per_length = [
         {
             "n": ls.n,

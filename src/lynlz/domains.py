@@ -12,7 +12,7 @@ one of those guarantees on a concrete input string.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +52,16 @@ class Domain(NamedTuple):
 def extended_domain(dom: Domain) -> Span:
     """Span of the domain followed by its own runs F_i .. F_{i+d-1}."""
     return Span(dom.span.start, dom.span.end + dom.associated.length)
+
+
+def _tiles(spans: Iterable[Span], start: int, end: int) -> bool:
+    """True when ``spans``, in order, follow each other with no gap and cover [start..end] exactly."""
+    cursor = start
+    for span in spans:
+        if span.start != cursor:
+            return False
+        cursor = span.end + 1
+    return cursor == end + 1
 
 
 class TandemDomain(NamedTuple):
@@ -105,10 +115,6 @@ class CanonicalDecomposition(NamedTuple):
     @property
     def loose(self) -> tuple[Domain, ...]:
         return tuple(item for item in self.sequence if isinstance(item, Domain))
-
-    @property
-    def t(self) -> int:
-        return len(self.loose)
 
 
 class BoundaryBudget(NamedTuple):
@@ -694,15 +700,9 @@ def verify_lemmas(s: bytes) -> LemmaReport:
 
     c = checks["group-window-concatenation"]
     for g in groups:
-        cursor = g.associated.start
-        ok = True
-        for idx in range(g.p - 2, -1, -1):  # reverse order of member tandems
-            window = _tandem_window(lf, g.members[idx])
-            if window.start != cursor:
-                ok = False
-                break
-            cursor = window.end + 1
-        ok = ok and cursor == g.associated.end + 1
+        # reverse order of member tandems, each named by its inner half
+        windows = (_tandem_window(lf, inner) for inner in reversed(g.members[:-1]))
+        ok = _tiles(windows, g.associated.start, g.associated.end)
         c.record(ok, "i={} p={} d={}", g.i, g.p, g.d)
 
     c = checks["group-window-boundaries"]
@@ -754,7 +754,6 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     for i, row in enumerate(rows, 1):
         for dom in row:
             ext = extended_domain(dom)
-            need = _ceil_half(dom.size) + 1
             try:
                 cd = _decompose(dom, layer.domain)
                 budget = boundary_budget(cd)
@@ -765,23 +764,15 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             first = cd.sequence[0]
             ok = isinstance(first, Cluster) and first.members[0].i == dom.j
             if ok:
-                cursor = runs[dom.j + first.size - 2].end + 1  # after F_j .. F_{j+ell-1}
-                if runs[dom.j - 1].start != ext.start:
-                    ok = False
-                for sub in cd.loose:
-                    sub_ext = extended_domain(sub)
-                    if sub_ext.start != cursor:
-                        ok = False
-                        break
-                    cursor = sub_ext.end + 1
+                # F_j .. F_{j+ell-1}, the leftmost cluster's runs
+                head = Span(runs[dom.j - 1].start, runs[dom.j + first.size - 2].end)
                 # With loose subdomains the last extended domain reaches the root's
                 # extended end; a single all-covering cluster stops at F_i itself.
                 target = ext.end if cd.loose else runs[dom.i - 1].end
-                ok = ok and cursor == target + 1
+                ok = _tiles([head, *map(extended_domain, cd.loose)], ext.start, target)
             c_tile.record(ok, "i={} d={}", dom.i, dom.d)
-            c_count.record(
-                lz.boundaries_in(ext) >= max(budget.total, need), "i={} d={}", dom.i, dom.d
-            )
+            # budget.total >= ceil(k/2) + 1, or boundary_budget would have raised
+            c_count.record(lz.boundaries_in(ext) >= budget.total, "i={} d={}", dom.i, dom.d)
         # An empty domain's extended domain is its window and needs
         # ceil(0/2) + 1 = 1 boundary: the domain-window-boundary predicate.
         c_count.record_many(
@@ -791,15 +782,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c = checks["partition-phrase-bound"]
     parts = _dom1_partition(lf)
     t = len(parts)
-    tiles = True
-    cursor = 1
-    for dom in parts:
-        ext = extended_domain(dom)
-        if ext.start != cursor:
-            tiles = False
-            break
-        cursor = ext.end + 1
-    tiles = tiles and cursor == len(s) + 1
+    tiles = _tiles(map(extended_domain, parts), 1, len(s))
     c.record(tiles and lz.z >= _ceil_half(m + t), "t={} m={} z={}", t, m, lz.z)
 
     checks["size-bound"].record(m < 2 * lz.z, "m={} z={}", m, lz.z)

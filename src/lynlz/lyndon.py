@@ -34,10 +34,6 @@ class LyndonFactorization:
         """Bytes of f_i (1-based i)."""
         return self.factors[i - 1][0].slice(self.text)
 
-    def run_bytes(self, i: int) -> bytes:
-        """Bytes of F_i (1-based i)."""
-        return self.runs[i - 1].slice(self.text)
-
     def exponent(self, i: int) -> int:
         return self.factors[i - 1][1]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .text import Span, leftmost_occurrence
+from .text import Span
 
 DEFAULT_ORACLE_LIMIT = 10_000
 
@@ -81,7 +81,7 @@ def lz_factorize(s: bytes) -> LZFactorization:
 def oracle_lz_naive(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LZFactorization:
     """Literal transcription of the greedy rule, one probe length at a time.
 
-    Uses nothing but ``leftmost_occurrence`` against the already parsed
+    Uses nothing but substring containment (``in``) in the already parsed
     prefix, so it stays an independent cross-check for ``lz_factorize``.
     """
     n = len(s)
@@ -91,12 +91,12 @@ def oracle_lz_naive(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LZFactoriz
     b = 0
     while b < n:
         parsed = s[:b]
-        if leftmost_occurrence(parsed, s[b : b + 1]) is None:
+        if s[b : b + 1] not in parsed:
             lengths.append(1)
             b += 1
             continue
         length = 1
-        while b + length < n and leftmost_occurrence(parsed, s[b : b + length + 1]) is not None:
+        while b + length < n and s[b : b + length + 1] in parsed:
             length += 1
         lengths.append(length)
         b += length

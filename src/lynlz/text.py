@@ -1,4 +1,4 @@
-"""Byte-string primitives: spans, the Lyndon test, leftmost occurrence.
+"""Byte-string primitives: spans and the Lyndon test.
 
 All positions exposed by this package are 1-based and inclusive, so a
 substring of ``s`` is addressed exactly as ``s[i..j]``.  Symbols are single
@@ -72,11 +72,3 @@ def is_lyndon(w: bytes) -> bool:
     if not w:
         raise ValueError("empty word has no Lyndon status")
     return all(w[i:] > w for i in range(1, len(w)))
-
-
-def leftmost_occurrence(s: bytes, pattern: bytes) -> int | None:
-    """Smallest 1-based start position of ``pattern`` in ``s``, or None."""
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    pos = s.find(pattern)
-    return None if pos < 0 else pos + 1

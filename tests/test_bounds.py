@@ -87,11 +87,13 @@ class TestRecords:
 
 class TestImportCost:
     def test_import_loads_no_multiprocessing(self):
-        # Only `search --jobs N` with N > 1 opens a pool; the import must not pay for it.
+        # Only `search --jobs N` with N > 1 opens a pool, and only the CLI
+        # parses arguments and writes JSON; the import must not pay for them.
         src = str(Path(lynlz.__file__).resolve().parent.parent)
+        skipped = ("multiprocessing", "argparse", "json", "lynlz.cli")
         code = (
             f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import lynlz; "
-            "print(sorted(m for m in set(sys.modules) - before if m.startswith('multiprocessing')))"
+            f"print(sorted(m for m in set(sys.modules) - before if m.startswith({skipped!r})))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
@@ -277,7 +279,7 @@ class TestSearch:
     def test_summary_counts_and_ratio(self):
         summary = exhaustive_search(2, 8, jobs=1)
         assert summary.total == 2**9 - 2
-        assert summary.max_ratio < 2.0
+        assert max(ls.max_ratio for ls in summary.per_length) < 2.0
         assert summary.per_length[0].count == 2
 
     def test_parallel_matches_serial(self):
@@ -388,7 +390,7 @@ class TestSearch:
         sizes: list[int] = []
         monkeypatch.setattr("multiprocessing.Pool", lambda processes: RecordingPool(sizes, processes))
         summary = exhaustive_search(2, 0, jobs=4)
-        assert (summary.total, summary.per_length, summary.max_ratio) == (0, [], None)
+        assert (summary.total, summary.per_length) == (0, [])
         assert list(iter_search(2, 0)) == []
         empty = ("search", "--sigma", "2", "--max-len", "0", "--jobs", "2")
         for fmt in ("human", "json", "tsv"):
@@ -408,6 +410,15 @@ class TestSearch:
     def test_alphabet_bounds(self):
         with pytest.raises(ValueError):
             exhaustive_search(0, 3)
+
+    def test_length_bound(self):
+        # With one letter the string cap lets any length through; the length
+        # bound refuses the sweep before its tasks are listed.
+        with pytest.raises(ValueError, match="max length must be <= 64"):
+            list(iter_search(1, 65))
+        summary = exhaustive_search(1, 64, jobs=1)
+        assert [ls.n for ls in summary.per_length] == list(range(1, 65))
+        assert summary.total == 64
 
 
 class TestAsymptotics:

@@ -270,6 +270,12 @@ class TestSearchCommand:
             "error: enumerating lengths 1..200000 over 2 letters exceeds the cap of 10000000 strings\n"
         )
 
+    def test_length_bound_refuses_unary_sweep(self, capsys):
+        # 10^7 one-letter strings pass the string cap, but not the length bound.
+        assert main(["search", "--sigma", "1", "--max-len", "10000000"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: max length must be <= 64\n")
+
     def test_tsv_rows_same_for_any_job_count_on_split_lengths(self, capsys):
         argv = ("search", "--sigma", "2", "--max-len", "14", "--format", "tsv")
         code1, out1 = run(capsys, *argv, "--jobs", "1")

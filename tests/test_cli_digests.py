@@ -1,0 +1,113 @@
+"""Pinned digests of the CLI's default output.
+
+Each case runs ``lynlz.cli.main`` in process and hashes its exit code,
+stdout and stderr with SHA-256; ``cli_digests.json`` holds the expected
+digest of every case.  A change that alters any byte of any of them fails
+here, and the failure names the cases.
+
+Run this file as a script to rewrite the JSON from the current code:
+
+    PYTHONPATH=src python tests/test_cli_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from conftest import FIGURE_STRING
+from lynlz import compute_domain, generate_family, lyndon_factorize
+from lynlz.cli import main
+
+DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+FORMATS = ("human", "json", "tsv")
+# Bytes outside printable ASCII, the backslash and a trailing newline, which
+# --file keeps.
+FILE_BYTES = bytes(range(0, 256, 17)) + b"ab\\ba\x7f\r\n"
+
+
+def _texts() -> dict[str, bytes]:
+    texts = {"figure": FIGURE_STRING, "banana": b"banana", "empty": b""}
+    for k in range(2, 9):
+        texts[f"family{k}"] = generate_family(k)
+    for seed in range(5):
+        rng = random.Random(seed)
+        texts[f"random{seed}"] = bytes(rng.choice(b"ab") for _ in range(40))
+    return texts
+
+
+def cases(input_file: str) -> dict[str, list[str]]:
+    """Case name -> argv; ``input_file`` is a file holding ``FILE_BYTES``."""
+    out: dict[str, list[str]] = {}
+    inputs = {name: ["--text", s.decode("latin-1")] for name, s in _texts().items()}
+    inputs["file"] = ["--file", input_file]
+    for command in ("lyndon", "lz", "domains", "verify", "partition"):
+        for name, source in inputs.items():
+            for fmt in FORMATS:
+                out[f"{command}/{name}/{fmt}"] = [command, *source, "--format", fmt]
+    lf = lyndon_factorize(FIGURE_STRING)
+    for i in range(1, lf.m + 1):
+        for d in range(1, lf.m - i + 2):
+            if compute_domain(lf, i, d).is_empty:
+                continue
+            for fmt in FORMATS:
+                out[f"canonical/i{i}d{d}/{fmt}"] = [
+                    "canonical", "--text", FIGURE_STRING.decode(),
+                    "--run", str(i), "--order", str(d), "--format", fmt,
+                ]
+    out["canonical/empty-root"] = [
+        "canonical", "--text", FIGURE_STRING.decode(), "--run", "2", "--order", "1"
+    ]
+    for k in range(-1, 13):
+        for check in ((), ("--check",)):
+            for fmt in FORMATS:
+                out[f"family/k{k}{''.join(check)}/{fmt}"] = [
+                    "family", "--k", str(k), *check, "--format", fmt
+                ]
+    sweeps = {
+        "sigma2-len8": ["--sigma", "2", "--max-len", "8"],
+        "sigma3-len5-dedupe": ["--sigma", "3", "--max-len", "5", "--dedupe"],
+        "sigma2-len5-lemmas": ["--sigma", "2", "--max-len", "5", "--check-lemmas"],
+    }
+    for name, sweep in sweeps.items():
+        for fmt in FORMATS:
+            out[f"search/{name}/{fmt}"] = ["search", *sweep, "--jobs", "1", "--format", fmt]
+    out["search/sigma27"] = ["search", "--sigma", "27", "--max-len", "2", "--jobs", "1"]
+    out["search/max-len-negative"] = ["search", "--sigma", "2", "--max-len", "-1", "--jobs", "1"]
+    out["search/past-limit"] = [
+        "search", "--sigma", "2", "--max-len", "10", "--limit", "100", "--jobs", "1"
+    ]
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    """SHA-256 of the exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.bin"
+        path.write_bytes(FILE_BYTES)
+        return {name: digest(argv) for name, argv in cases(str(path)).items()}
+
+
+def test_cli_output_matches_pinned_digests():
+    pinned = json.loads(DIGESTS.read_text())
+    current = digests()
+    changed = sorted(name for name in pinned.keys() | current.keys() if pinned.get(name) != current.get(name))
+    assert not changed, f"{len(changed)} of {len(pinned)} cases differ: {changed}"
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")

@@ -34,7 +34,14 @@ from lynlz import (
     lz_factorize,
     verify_lemmas,
 )
-from lynlz.domains import LemmaCheck, _compute, _domain_layer, _empty_window_failures, _run_starts
+from lynlz.domains import (
+    LemmaCheck,
+    _compute,
+    _domain_layer,
+    _empty_window_failures,
+    _run_starts,
+    _tiles,
+)
 
 
 @pytest.fixture
@@ -76,6 +83,24 @@ class TestExtendedDomain:
         assert extended_domain(compute_domain(fig_lf, 3, 3)) == Span(7, 25)
         assert extended_domain(compute_domain(fig_lf, 4, 2)) == Span(7, 25)
         assert extended_domain(compute_domain(fig_lf, 2, 1)) == Span(7, 17)
+
+
+class TestTiles:
+    @pytest.mark.parametrize(
+        "spans, start, end, expected",
+        [
+            pytest.param([(3, 5), (6, 6), (7, 10)], 3, 10, True, id="exact-cover"),
+            pytest.param([(3, 5), (7, 10)], 3, 10, False, id="gap"),
+            pytest.param([(3, 6), (6, 10)], 3, 10, False, id="overlap"),
+            pytest.param([(3, 5), (6, 8)], 3, 10, False, id="stops-short"),
+            pytest.param([(3, 5), (6, 11)], 3, 10, False, id="overshoots"),
+            pytest.param([(4, 5), (6, 10)], 3, 10, False, id="starts-late"),
+            pytest.param([], 3, 10, False, id="empty-sequence"),
+            pytest.param([], 3, 2, True, id="empty-sequence-empty-range"),
+        ],
+    )
+    def test_cases(self, spans, start, end, expected):
+        assert _tiles([Span(*sp) for sp in spans], start, end) is expected
 
 
 class TestAllDomains:
@@ -239,7 +264,7 @@ class TestCanonicalDecomposition:
             ("loose", (4, 2)),
             ("cluster", ((5, 1),)),
         ]
-        assert cd.t == 1
+        assert len(cd.loose) == 1
         budget = boundary_budget(cd)
         assert (budget.k, budget.ell, budget.d) == (4, 1, 1)
         assert budget.loose_orders == (2,) and budget.loose_sizes == (2,)
@@ -249,7 +274,7 @@ class TestCanonicalDecomposition:
         # No loose subdomains: the whole decomposition is one (k+1)-group.
         root = compute_domain(fig_lf, 4, 2)
         cd = canonical_decomposition(fig_lf, root)
-        assert cd.t == 0
+        assert len(cd.loose) == 0
         (cluster,) = cd.sequence
         assert isinstance(cluster, Cluster)
         assert [(d.i, d.d) for d in cluster.members] == [(2, 4), (3, 3), (4, 2)]

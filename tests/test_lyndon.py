@@ -149,13 +149,13 @@ class TestInvariants:
     def test_roundtrip_and_structure(self):
         for s in self.corpus():
             lf = lyndon_factorize(s)
-            rebuilt = b"".join(lf.run_bytes(i) for i in range(1, lf.m + 1))
+            rebuilt = b"".join(lf.runs[i - 1].slice(lf.text) for i in range(1, lf.m + 1))
             assert rebuilt == s
             for i in range(1, lf.m + 1):
                 factor_span, e = lf.factors[i - 1]
                 factor = lf.factor_bytes(i)
                 assert is_lyndon(factor)
-                assert lf.run_bytes(i) == factor * e
+                assert lf.runs[i - 1].slice(lf.text) == factor * e
                 assert lf.runs[i - 1].length == e * factor_span.length
             for i in range(1, lf.m):
                 assert lf.factor_bytes(i) > lf.factor_bytes(i + 1)
@@ -165,12 +165,12 @@ class TestInvariants:
             lf = lyndon_factorize(s)
             for j in range(1, lf.m + 1):
                 for i in range(j + 1, lf.m + 1):
-                    assert lf.factor_bytes(j) > lf.run_bytes(i)
+                    assert lf.factor_bytes(j) > lf.runs[i - 1].slice(lf.text)
 
     @given(st.binary(max_size=300))
     def test_roundtrip_random(self, s):
         lf = lyndon_factorize(s)
-        assert b"".join(lf.run_bytes(i) for i in range(1, lf.m + 1)) == s
+        assert b"".join(lf.runs[i - 1].slice(lf.text) for i in range(1, lf.m + 1)) == s
 
     def test_oracle_equivalence_exhaustive(self):
         # Binary up to length 12 and ternary up to length 8.

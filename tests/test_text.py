@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIGURE_STRING
-from lynlz import Span, is_lyndon, leftmost_occurrence
+from lynlz import Span, is_lyndon, oracle_lz_naive
 
 
 def binary_words(max_len: int, alphabet: bytes = b"ab", min_len: int = 0) -> list[bytes]:
@@ -97,7 +97,17 @@ class TestIsLyndon:
                 assert rotation == w or not is_lyndon(rotation)
 
 
+def scan(s: bytes, pattern: bytes) -> int | None:
+    """Smallest 1-based start of ``pattern`` in ``s`` by a quadratic scan, or None."""
+    hits = [i + 1 for i in range(len(s) - len(pattern) + 1) if s[i : i + len(pattern)] == pattern]
+    return min(hits) if hits else None
+
+
 class TestLeftmostOccurrence:
+    """``oracle_lz_naive`` asks whether a piece occurs in the parsed prefix
+    with ``piece in parsed``; these tests pin that containment test against
+    a quadratic scan for the leftmost occurrence."""
+
     @pytest.mark.parametrize(
         "s, pattern, expected",
         [
@@ -109,31 +119,27 @@ class TestLeftmostOccurrence:
         ],
     )
     def test_examples(self, s, pattern, expected):
-        assert leftmost_occurrence(s, pattern) == expected
+        assert scan(s, pattern) == expected
+        assert (pattern in s) == (expected is not None)
 
     def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            leftmost_occurrence(b"abc", b"")
+        # The empty word is in every string, so containment cannot tell a
+        # fresh letter; the oracle never probes it.  Its first probe at each
+        # phrase start is one byte, and a fresh letter is a phrase of its own.
+        assert all(b"" in s for s in binary_words(4))
+        for s in binary_words(8, min_len=1):
+            for phrase in oracle_lz_naive(s).phrases:
+                fresh = scan(s, phrase.slice(s)[:1]) == phrase.start
+                assert phrase.length >= 1 and (phrase.length == 1 or not fresh)
 
     def test_matches_quadratic_scan(self):
-        def scan(s: bytes, pattern: bytes) -> int | None:
-            hits = [
-                i + 1
-                for i in range(len(s) - len(pattern) + 1)
-                if s[i : i + len(pattern)] == pattern
-            ]
-            return min(hits) if hits else None
-
         for s in binary_words(6):
             for pattern in binary_words(3, min_len=1):
-                assert leftmost_occurrence(s, pattern) == scan(s, pattern)
+                assert (pattern in s) == (scan(s, pattern) is not None)
 
     @given(st.binary(max_size=50), st.binary(min_size=1, max_size=5))
     def test_random_against_scan(self, s, pattern):
-        hits = [
-            i + 1 for i in range(len(s) - len(pattern) + 1) if s[i : i + len(pattern)] == pattern
-        ]
-        assert leftmost_occurrence(s, pattern) == (min(hits) if hits else None)
+        assert (pattern in s) == (scan(s, pattern) is not None)
 
 
 class TestSpan:
