@@ -171,7 +171,7 @@ def _cmd_lz(args: argparse.Namespace) -> int:
                 "input_len": len(s),
                 "z": lz.z,
                 "phrases": phrases,
-                "boundaries": list(lz.boundary_positions),
+                "boundaries": [p.start for p in lz.phrases],
             }
         )
     elif args.format == "tsv":

@@ -12,14 +12,20 @@ one of those guarantees on a concrete input string.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize
 from .lz import LZFactorization, lz_factorize
 from .text import Span
+
+
+_start = attrgetter("start")
 
 
 def _ceil_half(x: int) -> int:
@@ -137,24 +143,6 @@ class BoundaryBudget(NamedTuple):
     lower_bound: int
 
 
-def _run_starts(lf: LyndonFactorization) -> dict[int, int]:
-    return {span.start: idx + 1 for idx, span in enumerate(lf.runs)}
-
-
-def _compute(lf: LyndonFactorization, i: int, d: int, starts: dict[int, int]) -> Domain:
-    m = lf.m
-    if i < 1 or d < 1 or i + d - 1 > m:
-        raise ValueError(f"order exceeds factorization: i={i}, d={d}, m={m}")
-    runs = lf.runs
-    a_start = runs[i - 1].start
-    a_end = runs[i + d - 2].end
-    alpha = lf.text[a_start - 1 : a_end]
-    q = lf.text.find(alpha) + 1
-    if q == a_start:
-        return _empty(lf, i, d)
-    return _anchored(lf, i, d, q, a_end, starts)
-
-
 def _empty(lf: LyndonFactorization, i: int, d: int) -> Domain:
     """The empty order-d domain of run F_i: its window is F_i .. F_{i+d-1} itself."""
     runs = lf.runs
@@ -164,16 +152,14 @@ def _empty(lf: LyndonFactorization, i: int, d: int) -> Domain:
     )
 
 
-def _anchored(
-    lf: LyndonFactorization, i: int, d: int, q: int, a_end: int, starts: dict[int, int]
-) -> Domain:
+def _anchored(lf: LyndonFactorization, i: int, d: int, q: int, a_end: int) -> Domain:
     """Non-empty domain whose leftmost occurrence starts at q; q must start an earlier run."""
-    j = starts.get(q)
-    if j is None or j >= i:
+    runs = lf.runs
+    j = bisect_left(runs, q, key=_start) + 1
+    if j >= i or runs[j - 1].start != q:
         raise IntegrityError(
             f"leftmost occurrence of runs {i}..{i + d - 1} (position {q}) is not a run start"
         )
-    runs = lf.runs
     a_start = runs[i - 1].start
     return Domain(
         i=i,
@@ -186,7 +172,16 @@ def _anchored(
 
 def compute_domain(lf: LyndonFactorization, i: int, d: int) -> Domain:
     """Order-d domain of run F_i (1-based i); raises ValueError when i+d-1 > m."""
-    return _compute(lf, i, d, _run_starts(lf))
+    m = lf.m
+    if i < 1 or d < 1 or i + d - 1 > m:
+        raise ValueError(f"order exceeds factorization: i={i}, d={d}, m={m}")
+    runs = lf.runs
+    a_start = runs[i - 1].start
+    a_end = runs[i + d - 2].end
+    q = lf.text.find(lf.text[a_start - 1 : a_end]) + 1
+    if q == a_start:
+        return _empty(lf, i, d)
+    return _anchored(lf, i, d, q, a_end)
 
 
 class DomainLayer:
@@ -245,7 +240,6 @@ def _domain_layer(lf: LyndonFactorization) -> DomainLayer:
     start bounds every order from above, so once q reaches it, at order e_i,
     every higher order is empty too and the row stops there.
     """
-    starts = _run_starts(lf)
     runs = lf.runs
     text = lf.text
     m = lf.m
@@ -259,7 +253,7 @@ def _domain_layer(lf: LyndonFactorization) -> DomainLayer:
             q = text.find(text[a_start - 1 : a_end], q - 1) + 1
             if q == a_start:
                 break
-            row.append(_anchored(lf, i, d, q, a_end, starts))
+            row.append(_anchored(lf, i, d, q, a_end))
         rows.append(tuple(row))
     return DomainLayer(lf, tuple(rows))
 
@@ -370,8 +364,7 @@ def canonical_decomposition(lf: LyndonFactorization, dom: Domain) -> CanonicalDe
     cluster, records the domain as loose, and restarts the scan (order 0)
     just left of the loose domain's span.
     """
-    starts = _run_starts(lf)
-    return _decompose(dom, lambda t, order: _compute(lf, t, order, starts))
+    return _decompose(dom, lambda t, order: compute_domain(lf, t, order))
 
 
 def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDecomposition:
@@ -458,11 +451,10 @@ def _dom1_partition(lf: LyndonFactorization) -> list[Domain]:
     Only the order-1 domains on the tiling path are computed, so no domain
     table is built.
     """
-    starts = _run_starts(lf)
     parts: list[Domain] = []
     i = lf.m
     while i >= 1:
-        dom = _compute(lf, i, 1, starts)
+        dom = compute_domain(lf, i, 1)
         parts.append(dom)
         i = dom.j - 1
     parts.reverse()
@@ -542,12 +534,6 @@ class LemmaReport(NamedTuple):
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> LemmaCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _empty_window_failures(layer: DomainLayer, lz: LZFactorization, i: int) -> int:
     """How many empty domains of F_i have a window holding no phrase start.
@@ -565,6 +551,13 @@ def _empty_window_failures(layer: DomainLayer, lz: LZFactorization, i: int) -> i
             break
         failures += 1
     return failures
+
+
+def _within(half: Domain, dom: Domain) -> bool:
+    """True when a tandem half is ``dom`` itself, or lies in ``dom``'s span and window."""
+    if half.i == dom.i and half.d == dom.d:
+        return True
+    return dom.j <= half.i < dom.i and half.i + half.d <= dom.i + dom.d
 
 
 def verify_lemmas(s: bytes) -> LemmaReport:
@@ -681,15 +674,12 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         c.record(extended_domain(td.inner).contains(td.associated), "i={} d={}", td.i, td.d)
 
     c = checks["disjoint-tandem-no-overlap"]
-    for a in range(len(tandems)):
-        ta = tandems[a]
-        for b in range(a + 1, len(tandems)):
-            tb = tandems[b]
-            if abs(tb.i - ta.i) <= 1:
-                continue  # sharing a run: not disjoint
-            c.record(
-                not ta.associated.overlaps(tb.associated), "({},{}) ({},{})", ta.i, ta.d, tb.i, tb.d
-            )
+    for ta, tb in combinations(tandems, 2):
+        if abs(tb.i - ta.i) <= 1:
+            continue  # sharing a run: not disjoint
+        c.record(
+            not ta.associated.overlaps(tb.associated), "({},{}) ({},{})", ta.i, ta.d, tb.i, tb.d
+        )
 
     groups = _groups(lf, tandems)
     c = checks["group-shared-extdom"]
@@ -710,30 +700,19 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         c.record(lz.boundaries_in(g.associated) >= g.p - 1, "i={} p={} d={}", g.i, g.p, g.d)
 
     c = checks["disjoint-group-no-overlap"]
-    for a in range(len(groups)):
-        ga = groups[a]
-        for b in range(a + 1, len(groups)):
-            gb = groups[b]
-            if ga.i + ga.p - 1 >= gb.i and gb.i + gb.p - 1 >= ga.i:
-                continue  # share a run: not disjoint
-            c.record(
-                not ga.associated.overlaps(gb.associated),
-                "({},{},{}) ({},{},{})",
-                ga.i, ga.p, ga.d, gb.i, gb.p, gb.d,
-            )
+    for ga, gb in combinations(groups, 2):
+        if ga.i + ga.p - 1 >= gb.i and gb.i + gb.p - 1 >= ga.i:
+            continue  # share a run: not disjoint
+        c.record(
+            not ga.associated.overlaps(gb.associated),
+            "({},{},{}) ({},{},{})",
+            ga.i, ga.p, ga.d, gb.i, gb.p, gb.d,
+        )
 
     c = checks["tandem-inside-domain-no-overlap"]
     for dom in nonempty:
-        reach = dom.i + dom.d
         for td in tandems:
-            fits = td.i + td.d + 1 <= reach
-            part1 = (td.i == dom.i and td.d + 1 == dom.d) or (
-                dom.j <= td.i < dom.i and fits
-            )
-            part2 = (td.i + 1 == dom.i and td.d == dom.d) or (
-                dom.j <= td.i + 1 < dom.i and fits
-            )
-            if part1 and part2:
+            if _within(td.inner, dom) and _within(td.outer, dom):
                 c.record(
                     not td.associated.overlaps(dom.associated),
                     "dom=({},{}) tandem=({},{})",
@@ -761,8 +740,8 @@ def verify_lemmas(s: bytes) -> LemmaReport:
                 c_budget.record(False, "i={} d={} {}", dom.i, dom.d, exc)
                 continue
             c_budget.record(True)
-            first = cd.sequence[0]
-            ok = isinstance(first, Cluster) and first.members[0].i == dom.j
+            first = cd.sequence[0]  # a Cluster, or boundary_budget would have raised
+            ok = first.members[0].i == dom.j
             if ok:
                 # F_j .. F_{j+ell-1}, the leftmost cluster's runs
                 head = Span(runs[dom.j - 1].start, runs[dom.j + first.size - 2].end)

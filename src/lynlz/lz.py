@@ -10,17 +10,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 
 from .text import Span
 
 DEFAULT_ORACLE_LIMIT = 10_000
+
+_start = attrgetter("start")
 
 
 @dataclass(frozen=True)
 class LZFactorization:
     text: bytes
     phrases: tuple[Span, ...]
-    boundary_positions: tuple[int, ...]  # sorted phrase start positions
 
     @property
     def z(self) -> int:
@@ -30,24 +33,15 @@ class LZFactorization:
         return [p.slice(self.text) for p in self.phrases]
 
     def boundaries_in(self, window: Span) -> int:
-        """Number of phrase starts inside ``window``."""
-        if window.is_empty:
-            return 0
-        lo = bisect_left(self.boundary_positions, window.start)
-        hi = bisect_left(self.boundary_positions, window.end + 1)
-        return hi - lo
+        """Number of phrase starts inside ``window`` (none in an empty one)."""
+        lo = bisect_left(self.phrases, window.start, key=_start)
+        return bisect_left(self.phrases, window.end + 1, lo, key=_start) - lo
 
 
 def _from_lengths(s: bytes, lengths: list[int]) -> LZFactorization:
-    phrases = []
-    pos = 1
-    for length in lengths:
-        phrases.append(Span(pos, pos + length - 1))
-        pos += length
+    starts = accumulate(lengths, initial=1)
     return LZFactorization(
-        text=s,
-        phrases=tuple(phrases),
-        boundary_positions=tuple(p.start for p in phrases),
+        text=s, phrases=tuple(Span(p, p + n - 1) for p, n in zip(starts, lengths))
     )
 
 

@@ -24,7 +24,6 @@ from lynlz.domains import (
     _dom1_partition,
     _make_group,
     _make_tandem,
-    _run_starts,
     _tandem_window,
     boundary_budget,
     extended_domain,
@@ -36,7 +35,7 @@ from lynlz.text import Span
 
 
 def dense_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
-    """Every (i, d) domain, keyed in ascending i then d; equal to ``_compute`` entry by entry.
+    """Every (i, d) domain, keyed in ascending i then d; equal to ``compute_domain`` entry by entry.
 
     For a fixed i the search for order d + 1 resumes at order d's leftmost
     occurrence q: an occurrence of F_i..F_{i+d} is also one of its prefix
@@ -44,7 +43,6 @@ def dense_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
     start bounds every order from above, so once q reaches it every higher
     order is empty and needs no search.
     """
-    starts = _run_starts(lf)
     runs = lf.runs
     text = lf.text
     m = lf.m
@@ -62,7 +60,7 @@ def dense_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
                         i=i, d=e, j=i, span=empty, associated=Span(a_start, runs[i + e - 2].end)
                     )
                 break
-            table[(i, d)] = _anchored(lf, i, d, q, a_end, starts)
+            table[(i, d)] = _anchored(lf, i, d, q, a_end)
     return table
 
 

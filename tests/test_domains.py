@@ -36,10 +36,8 @@ from lynlz import (
 )
 from lynlz.domains import (
     LemmaCheck,
-    _compute,
     _domain_layer,
     _empty_window_failures,
-    _run_starts,
     _tiles,
 )
 
@@ -144,7 +142,7 @@ class TestAllDomains:
 
     def test_table_matches_per_entry_search(self):
         # The layer resumes each order's search at the previous order's
-        # occurrence and stops at the first empty order e_i; _compute searches
+        # occurrence and stops at the first empty order e_i; compute_domain searches
         # every entry from the text's start.  all_domains fills in the empty
         # orders and must list exactly the dense reference table.
         for alphabet, max_len in ((b"ab", 12), (b"abc", 7)):
@@ -152,9 +150,8 @@ class TestAllDomains:
                 for tup in product(alphabet, repeat=n):
                     s = bytes(tup)
                     lf = lyndon_factorize(s)
-                    starts = _run_starts(lf)
                     reference = {
-                        (i, d): _compute(lf, i, d, starts)
+                        (i, d): compute_domain(lf, i, d)
                         for i in range(1, lf.m + 1)
                         for d in range(1, lf.m - i + 2)
                     }
@@ -353,8 +350,8 @@ class TestVerifyLemmas:
         report = verify_lemmas(FIGURE_STRING)
         assert report.passed
         assert report.m == 5 and report.z == 8
-        assert report.check("domain-window-boundary").instances == 15
-        assert report.check("size-bound").instances == 1
+        assert {c.name: c for c in report.checks}["domain-window-boundary"].instances == 15
+        assert {c.name: c for c in report.checks}["size-bound"].instances == 1
         assert all(c.counterexample is None for c in report.checks)
 
     def test_empty_and_trivial_inputs(self):
@@ -384,7 +381,7 @@ class TestVerifyLemmas:
 
     def test_domain_laminarity_counted(self, fig_lf):
         report = verify_lemmas(FIGURE_STRING)
-        assert report.check("domain-laminarity").instances == 6  # non-empty spans
+        assert {c.name: c for c in report.checks}["domain-laminarity"].instances == 6  # non-empty spans
 
 
 class TestLemmaCheck:
@@ -520,5 +517,36 @@ class TestDenseReference:
         monkeypatch.setattr("lynlz.domains.lyndon_factorize", broken)
         monkeypatch.setattr(dense_reference, "lyndon_factorize", broken)
         sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
-        assert dense.check("factor-order-dominates-runs").failures > 0
+        assert {c.name: c for c in dense.checks}["factor-order-dominates-runs"].failures > 0
         assert _verdicts(sparse) == _verdicts(dense)
+
+    @pytest.mark.parametrize(
+        "runs, i",
+        [
+            # F_3 = b first occurs at 2, inside run 1 = [1..2].
+            pytest.param([(1, 2), (3, 3), (4, 4)], 3, id="inside-an-earlier-run"),
+            # F_2 = b first occurs at 2, inside run 1 = F_{i-1}, so the first
+            # run starting at or after 2 is F_i itself.
+            pytest.param([(1, 3), (4, 4)], 2, id="inside-the-previous-run"),
+        ],
+    )
+    def test_leftmost_occurrence_off_run_start(self, monkeypatch, runs, i):
+        # A leftmost occurrence that does not start a run before F_i is a
+        # defect of the factorization: the domain cannot be anchored.
+        def broken(text):
+            return LyndonFactorization(
+                text=text,
+                factors=tuple((Span(*r), 1) for r in runs),
+                runs=tuple(Span(*r) for r in runs),
+            )
+
+        message = f"leftmost occurrence of runs {i}..{i} (position 2) is not a run start"
+        with pytest.raises(IntegrityError) as excinfo:
+            compute_domain(broken(b"abab"), i, 1)
+        assert str(excinfo.value) == message
+        monkeypatch.setattr("lynlz.domains.lyndon_factorize", broken)
+        monkeypatch.setattr(dense_reference, "lyndon_factorize", broken)
+        sparse, dense = verify_lemmas(b"abab"), dense_verify_lemmas(b"abab")
+        assert sparse == dense
+        window = {c.name: c for c in sparse.checks}["window-at-anchor-prefix"]
+        assert (window.failures, window.counterexample) == (1, message)

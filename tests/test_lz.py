@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ class TestLzFactorize:
         lz = lz_factorize(generate_family(2))
         assert lz.phrase_texts() == [b"b", b"a", b"ba", b"aba", b"baaba"]
         assert lz.z == 5
-        assert lz.boundary_positions == (1, 2, 3, 5, 8)
+        assert [p.start for p in lz.phrases] == [1, 2, 3, 5, 8]
 
     def test_family_k3_extends_k2(self):
         lz = lz_factorize(generate_family(3))
@@ -32,7 +33,7 @@ class TestLzFactorize:
         # Frozen from the naive oracle; the final phrase s[17..25] repeats s[6..14].
         lz = lz_factorize(FIGURE_STRING)
         assert lz.z == 8
-        assert lz.boundary_positions == (1, 2, 3, 4, 7, 9, 14, 17)
+        assert [p.start for p in lz.phrases] == [1, 2, 3, 4, 7, 9, 14, 17]
 
     def test_empty(self):
         lz = lz_factorize(b"")
@@ -135,3 +136,23 @@ class TestContainsBoundary:
         assert lz.boundaries_in(Span(1, 25)) == 8
         assert lz.boundaries_in(Span(5, 6)) == 0
         assert lz.boundaries_in(Span(14, 17)) == 2
+
+    def test_matches_direct_count(self):
+        # Every window, empty ones included, against a direct count of phrase starts.
+        texts = [bytes(tup) for n in range(1, 11) for tup in product(b"ab", repeat=n)]
+        texts += [generate_family(k) for k in range(0, 6)]
+        for s in texts:
+            lz = lz_factorize(s)
+            starts = [p.start for p in lz.phrases]
+            for start in range(1, len(s) + 2):
+                for end in range(start - 1, len(s) + 1):
+                    expected = sum(start <= b <= end for b in starts)
+                    assert lz.boundaries_in(Span(start, end)) == expected, (s, start, end)
+
+    def test_counts_the_phrases_it_holds(self):
+        # The phrase starts are read from ``phrases`` alone, so a replaced
+        # phrase tuple cannot disagree with a second stored copy.
+        lz = lz_factorize(FIGURE_STRING)
+        last = lz.phrases[-1]
+        assert lz.boundaries_in(last) == 1
+        assert dataclasses.replace(lz, phrases=lz.phrases[:-1]).boundaries_in(last) == 0
