@@ -9,7 +9,6 @@ from .bounds import (
     SearchSummary,
     TheoremReport,
     check_theorem,
-    default_jobs,
     exhaustive_search,
     expected_counts,
     expected_lz_phrases,
@@ -65,7 +64,6 @@ __all__ = [
     "canonical_decomposition",
     "check_theorem",
     "compute_domain",
-    "default_jobs",
     "exhaustive_search",
     "expected_counts",
     "expected_lz_phrases",

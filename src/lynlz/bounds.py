@@ -218,7 +218,7 @@ def iter_search(
     """Enumerate all strings of length 1..max_len in length-then-lex order.
 
     Strings are measured a task at a time (see ``_plan``), in up to ``jobs``
-    processes (None: ``default_jobs()``); records arrive in the same order for
+    processes (None: the CPU count); records arrive in the same order for
     every job count.  Raises IntegrityError on the first task holding a string
     that violates any verified bound, after the records of the tasks before it.
     """
@@ -283,27 +283,20 @@ def _worker(task: _Task) -> LengthSummary:
     )
 
 
-def default_jobs() -> int:
-    env = os.environ.get("LYNLZ_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _plan(
     sigma: int, max_len: int, dedupe: bool, check_lemmas: bool, jobs: int | None, limit: int
 ) -> tuple[list[_Task], int]:
     """Tasks in enumeration order, and the worker count.
 
     Each length n is split by the shortest prefix p with sigma^(n-p) <= _TASK_STRINGS,
-    whatever the job count.  The worker count is clamped to the CPU count and
-    the number of tasks, and is at least 1, so an empty sweep runs in process.
+    whatever the job count.  The worker count (None: the CPU count) is clamped
+    to the CPU count and the number of tasks, and is at least 1, so an empty
+    sweep, or a job count of 0 or less, runs in process.
     """
     if max_len < 0:
         raise ValueError("max length must be >= 0")
     letters = _alphabet(sigma)
     _budget(sigma, max_len, limit)
-    jobs = default_jobs() if jobs is None else max(1, jobs)
     tasks = []
     for n in range(1, max_len + 1):
         p = 0
@@ -311,7 +304,8 @@ def _plan(
             p += 1
         for tup in product(letters, repeat=p):
             tasks.append((sigma, n, bytes(tup), dedupe, check_lemmas))
-    return tasks, max(1, min(jobs, os.cpu_count() or 1, len(tasks)))
+    cpus = os.cpu_count() or 1
+    return tasks, max(1, min(cpus if jobs is None else jobs, cpus, len(tasks)))
 
 
 def _in_order(fn: Callable[[_Task], _R], tasks: list[_Task], jobs: int) -> Iterator[_R]:

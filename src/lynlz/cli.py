@@ -41,11 +41,6 @@ from .lyndon import lyndon_factorize, oracle_lyndon_dp
 from .lz import lz_factorize, oracle_lz_naive
 from .text import Span
 
-# Longest input `lyndon --oracle-check` accepts: the backtracking oracle
-# recurses once per factor, and 512 levels stay well inside Python's default
-# recursion limit (and take well under a second).
-_LYNDON_ORACLE_LIMIT = 512
-
 # Longest family string `family` builds: about k^3/2 bytes, so k <= 270.
 _FAMILY_LIMIT = 10_000_000
 
@@ -131,7 +126,7 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
     if args.oracle_check:
-        slow = oracle_lyndon_dp(s, max_len=_LYNDON_ORACLE_LIMIT)
+        slow = oracle_lyndon_dp(s)  # exponential, so bounded by lyndon.ORACLE_LIMIT
         if (lf.factors, lf.runs) != (slow.factors, slow.runs):
             raise IntegrityError(f"factorization disagrees with the oracle on {render_bytes(s)}")
     runs = [
@@ -158,7 +153,7 @@ def _cmd_lz(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lz = lz_factorize(s)
     if args.oracle_check:
-        slow = oracle_lz_naive(s)  # quadratic, so bounded by lz.DEFAULT_ORACLE_LIMIT
+        slow = oracle_lz_naive(s)  # quadratic, so bounded by lz.ORACLE_LIMIT
         if lz.phrases != slow.phrases:
             raise IntegrityError(f"parse disagrees with the oracle on {render_bytes(s)}")
     phrases = [
@@ -484,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
     p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: $LYNLZ_JOBS or CPUs)")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPUs)")
     p.add_argument("--limit", type=int, default=10_000_000, help="refuse to enumerate more strings than this")
     p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
     p.set_defaults(handler=_cmd_search)

@@ -9,11 +9,15 @@ public API are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import IntegrityError
 from .text import Span, is_lyndon
 
-DEFAULT_ORACLE_LIMIT = 24
+# Longest input the backtracking oracle accepts: it recurses once per factor,
+# and 512 levels stay well inside Python's default recursion limit (and take
+# well under a second).
+ORACLE_LIMIT = 512
 
 # Match length into the period at which Duval's scan switches from byte
 # steps to slice compares.
@@ -36,29 +40,6 @@ class LyndonFactorization:
 
     def exponent(self, i: int) -> int:
         return self.factors[i - 1][1]
-
-
-def _assemble(s: bytes, cuts: list[tuple[int, int]]) -> LyndonFactorization:
-    """Group consecutive equal factor occurrences (0-based (start, length) cuts) into runs.
-
-    Only the oracle uses this; ``lyndon_factorize`` emits whole runs itself.
-    """
-    factors: list[tuple[Span, int]] = []
-    runs: list[Span] = []
-    idx = 0
-    while idx < len(cuts):
-        start, length = cuts[idx]
-        word = s[start : start + length]
-        count = 1
-        while idx + count < len(cuts):
-            nstart, nlength = cuts[idx + count]
-            if nlength != length or s[nstart : nstart + nlength] != word:
-                break
-            count += 1
-        factors.append((Span(start + 1, start + length), count))
-        runs.append(Span(start + 1, start + count * length))
-        idx += count
-    return LyndonFactorization(text=s, factors=tuple(factors), runs=tuple(runs))
 
 
 def lyndon_factorize(s: bytes) -> LyndonFactorization:
@@ -117,20 +98,20 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
     return LyndonFactorization(text=s, factors=tuple(factors), runs=tuple(runs))
 
 
-def oracle_lyndon_dp(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LyndonFactorization:
+def oracle_lyndon_dp(s: bytes) -> LyndonFactorization:
     """Independent factorization oracle: backtracking over every cut position.
 
     Enumerates all ways to split ``s`` into a lexicographically non-increasing
     sequence of Lyndon words (equal neighbours merge into runs) and demands
     that exactly one exists.  Exponential in principle, so guarded by
-    ``max_len``; raise the bound explicitly for bigger cross-checks.
+    ``ORACLE_LIMIT``.
     """
     n = len(s)
-    if n > max_len:
-        raise ValueError(f"oracle limited to {max_len} symbols, got {n}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"oracle limited to {ORACLE_LIMIT} symbols, got {n}")
 
-    solutions: list[list[tuple[int, int]]] = []
-    chosen: list[tuple[int, int]] = []
+    solutions: list[list[tuple[int, bytes]]] = []
+    chosen: list[tuple[int, bytes]] = []
 
     def extend(pos: int, prev: bytes | None) -> None:
         if pos == n:
@@ -144,7 +125,7 @@ def oracle_lyndon_dp(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LyndonFac
                 break
             if not is_lyndon(piece):
                 continue
-            chosen.append((pos, end - pos))
+            chosen.append((pos, piece))
             extend(end, piece)
             chosen.pop()
 
@@ -153,4 +134,12 @@ def oracle_lyndon_dp(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LyndonFac
         raise IntegrityError(
             f"uniqueness violated: {len(solutions)} factorizations for {s!r}"
         )
-    return _assemble(s, solutions[0])
+    # Consecutive equal factors form one run; the key is the factor's bytes,
+    # so equal-length different factors (``abb``, ``aab``) stay apart.
+    factors: list[tuple[Span, int]] = []
+    runs: list[Span] = []
+    for word, group in groupby(solutions[0], key=lambda cut: cut[1]):
+        starts = [pos for pos, _ in group]
+        factors.append((Span(starts[0] + 1, starts[0] + len(word)), len(starts)))
+        runs.append(Span(starts[0] + 1, starts[-1] + len(word)))
+    return LyndonFactorization(text=s, factors=tuple(factors), runs=tuple(runs))

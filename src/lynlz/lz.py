@@ -15,7 +15,7 @@ from operator import attrgetter
 
 from .text import Span
 
-DEFAULT_ORACLE_LIMIT = 10_000
+ORACLE_LIMIT = 10_000
 
 _start = attrgetter("start")
 
@@ -72,15 +72,16 @@ def lz_factorize(s: bytes) -> LZFactorization:
     return _from_lengths(s, lengths)
 
 
-def oracle_lz_naive(s: bytes, max_len: int = DEFAULT_ORACLE_LIMIT) -> LZFactorization:
+def oracle_lz_naive(s: bytes) -> LZFactorization:
     """Literal transcription of the greedy rule, one probe length at a time.
 
     Uses nothing but substring containment (``in``) in the already parsed
     prefix, so it stays an independent cross-check for ``lz_factorize``.
+    Quadratic, so guarded by ``ORACLE_LIMIT``.
     """
     n = len(s)
-    if n > max_len:
-        raise ValueError(f"oracle limited to {max_len} symbols, got {n}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"oracle limited to {ORACLE_LIMIT} symbols, got {n}")
     lengths: list[int] = []
     b = 0
     while b < n:

@@ -320,7 +320,6 @@ class TestSearch:
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         serial = exhaustive_search(2, 6, jobs=1)
         assert exhaustive_search(2, 6, jobs=100_000) == serial  # clamped to the CPU count
-        monkeypatch.setenv("LYNLZ_JOBS", "100000")
         assert exhaustive_search(2, 6) == serial
         # sigma 1, lengths 1..2 gives two tasks, one per length.
         exhaustive_search(1, 2, jobs=64)
@@ -332,13 +331,34 @@ class TestSearch:
         assert sizes == [3, 3, 2]
         assert main([*tsv, "--jobs", "100000"]) == 0
         assert capsys.readouterr().out == rows
-        monkeypatch.delenv("LYNLZ_JOBS")
         assert main(list(tsv)) == 0  # default: the CPU count
         assert capsys.readouterr().out == rows
         assert sizes == [3, 3, 2, 3, 3]
         assert rows.splitlines() == [
             f"2\t{r.n}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}" for r in iter_search(2, 6)
         ]
+
+    def test_non_positive_jobs_run_in_process(self, monkeypatch, capsys):
+        # A job count of 0 or less means one job, in process; None means the
+        # CPU count.
+        sizes: list[int] = []
+        monkeypatch.setattr("multiprocessing.Pool", lambda processes: RecordingPool(sizes, processes))
+        monkeypatch.setattr("os.cpu_count", lambda: 5)
+        serial = exhaustive_search(2, 6, jobs=1)
+        records = list(iter_search(2, 6, jobs=1))
+        tsv = ("search", "--sigma", "2", "--max-len", "6", "--format", "tsv")
+        assert main([*tsv, "--jobs", "1"]) == 0
+        rows = capsys.readouterr().out
+        for jobs in (0, -4):
+            assert exhaustive_search(2, 6, jobs=jobs) == serial
+            assert list(iter_search(2, 6, jobs=jobs)) == records
+        assert main([*tsv, "--jobs", "0"]) == 0
+        assert capsys.readouterr().out == rows
+        assert sizes == []
+        # Lengths 1..6 give six tasks, so a pool of 5 is the CPU count.
+        assert exhaustive_search(2, 6, jobs=None) == serial
+        assert list(iter_search(2, 6, jobs=None)) == records
+        assert sizes == [5, 5]
 
     @pytest.mark.parametrize("sigma, max_len", [(1, 20), (2, 14), (3, 9), (26, 3)])
     def test_plan_tasks_hold_at_most_4096_strings(self, sigma, max_len):

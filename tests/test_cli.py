@@ -11,7 +11,7 @@ from lynlz import IntegrityError, LemmaCheck, LemmaReport, exhaustive_search, ge
 from lynlz.bounds import _measure
 from lynlz.domains import CHECK_NAMES
 from lynlz.cli import main, render_bytes
-from lynlz.lz import DEFAULT_ORACLE_LIMIT
+from lynlz.lz import ORACLE_LIMIT
 
 FIG_TEXT = FIGURE_STRING.decode()
 
@@ -67,11 +67,16 @@ class TestLyndonCommand:
         assert code == 0
 
     def test_oracle_check_refuses_long_input(self, capsys):
-        # The backtracking oracle recurses once per factor; a long input is a
-        # usage error, not a failed check and not a traceback.
-        code = main(["lyndon", "--oracle-check", "--text", "a" * 1100])
+        # The backtracking oracle recurses once per factor; past 512 bytes
+        # (lyndon.ORACLE_LIMIT) the check is a usage error, not a failed check
+        # and not a traceback, and nothing goes to stdout.
+        code, _ = run(capsys, "lyndon", "--oracle-check", "--text", "a" * 512)
+        assert code == 0
+        code = main(["lyndon", "--oracle-check", "--text", "a" * 513])
+        captured = capsys.readouterr()
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: oracle limited to 512 symbols")
+        assert captured.out == ""
+        assert captured.err == "error: oracle limited to 512 symbols, got 513\n"
 
 
 class TestLzCommand:
@@ -94,9 +99,9 @@ class TestLzCommand:
         assert code == 0
 
     def test_oracle_check_refuses_long_input(self, capsys):
-        # The naive oracle is quadratic; past lz.DEFAULT_ORACLE_LIMIT the
-        # check is a usage error, and nothing goes to stdout.
-        limit = DEFAULT_ORACLE_LIMIT
+        # The naive oracle is quadratic; past lz.ORACLE_LIMIT the check is a
+        # usage error, and nothing goes to stdout.
+        limit = ORACLE_LIMIT
         code = main(["lz", "--oracle-check", "--text", "a" * (limit + 1)])
         captured = capsys.readouterr()
         assert code == 2

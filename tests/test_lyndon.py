@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import FIGURE_STRING
 from lynlz import Span, generate_family, is_lyndon, lyndon_factorize, oracle_lyndon_dp
+from lynlz.lyndon import ORACLE_LIMIT
 
 
 def factor_texts(lf):
@@ -94,9 +95,12 @@ class TestOracle:
         assert oracle_lyndon_dp(b"").m == 0
 
     def test_length_guard(self):
-        with pytest.raises(ValueError):
-            oracle_lyndon_dp(b"a" * 25)
-        oracle_lyndon_dp(b"a" * 25, max_len=30)
+        # Exactly ORACLE_LIMIT bytes is accepted, one more is refused.
+        s = b"a" * ORACLE_LIMIT
+        assert oracle_lyndon_dp(s).factors == lyndon_factorize(s).factors
+        message = f"^oracle limited to {ORACLE_LIMIT} symbols, got {ORACLE_LIMIT + 1}$"
+        with pytest.raises(ValueError, match=message):
+            oracle_lyndon_dp(s + b"a")
 
 
 class TestLyndonFactorize:
@@ -185,7 +189,7 @@ class TestInvariants:
     @given(st.text(alphabet="abcd", max_size=40).map(str.encode))
     def test_oracle_equivalence_random(self, s):
         fast = lyndon_factorize(s)
-        slow = oracle_lyndon_dp(s, max_len=40)
+        slow = oracle_lyndon_dp(s)
         assert (fast.factors, fast.runs) == (slow.factors, slow.runs)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import FIGURE_STRING
 from lynlz import Span, generate_family, lz_factorize, oracle_lz_naive
+from lynlz.lz import ORACLE_LIMIT
 
 
 class TestLzFactorize:
@@ -53,8 +54,12 @@ class TestOracle:
         assert oracle_lz_naive(generate_family(2)).z == 5
 
     def test_length_guard(self):
-        with pytest.raises(ValueError):
-            oracle_lz_naive(b"a" * 10, max_len=9)
+        # Exactly ORACLE_LIMIT bytes is accepted, one more is refused.
+        s = b"a" * ORACLE_LIMIT
+        assert oracle_lz_naive(s).phrases == lz_factorize(s).phrases
+        message = f"^oracle limited to {ORACLE_LIMIT} symbols, got {ORACLE_LIMIT + 1}$"
+        with pytest.raises(ValueError, match=message):
+            oracle_lz_naive(s + b"a")
 
     def test_equivalence_exhaustive_binary(self):
         for n in range(0, 13):
