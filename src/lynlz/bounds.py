@@ -65,6 +65,10 @@ def check_theorem(s: bytes) -> TheoremReport:
     return TheoremReport(m=m, z=z, t=t, passes=m < 2 * z, slack=2 * z - m)
 
 
+# Longest family string ``generate_family`` builds: about k^3/2 bytes, so k <= 270.
+FAMILY_LIMIT = 10_000_000
+
+
 def family_length(k: int) -> int:
     """Length of ``generate_family(k)``, k(k+1)(k+2)/2 - k + 2, without building it.
 
@@ -81,10 +85,12 @@ def generate_family(k: int) -> bytes:
     """String number k of the lower-bound family: blocks B_0 .. B_k plus a final 'a'.
 
     B_0 = b, and B_i = (a^i b a^1 b)(a^i b a^2 b) ... (a^i b a^{i-1} b) a^i b.
-    Its length is ``family_length(k)``, about k^3 / 2.
+    Its length is ``family_length(k)``, about k^3 / 2; above ``FAMILY_LIMIT``
+    bytes (k > 270) it is refused before any byte is built.
     """
-    if k < 0:
-        raise ValueError("family index must be >= 0")
+    n = family_length(k)  # ValueError below k = 0
+    if n > FAMILY_LIMIT:
+        raise ValueError(f"family k={k} has {n} bytes, above the limit of {FAMILY_LIMIT}")
     parts = [b"b"]
     for i in range(1, k + 1):
         head = b"a" * i + b"b"

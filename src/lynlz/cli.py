@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .bounds import (
     expected_counts,
     expected_lz_phrases,
     extdom_partition,
-    family_length,
     generate_family,
     iter_search,
 )
@@ -40,10 +40,6 @@ from .errors import IntegrityError
 from .lyndon import lyndon_factorize, oracle_lyndon_dp
 from .lz import lz_factorize, oracle_lz_naive
 from .text import Span
-
-# Longest family string `family` builds: about k^3/2 bytes, so k <= 270.
-_FAMILY_LIMIT = 10_000_000
-
 
 # render_bytes' escapes: every byte outside printable ASCII, and the backslash.
 _ESCAPES = {b: f"\\x{b:02x}" for b in range(256) if not 0x20 <= b < 0x7F or b == 0x5C}
@@ -309,10 +305,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    n = family_length(args.k)  # ValueError below k = 0
-    if n > _FAMILY_LIMIT:
-        raise ValueError(f"family k={args.k} has {n} bytes, above the limit of {_FAMILY_LIMIT}")
-    s = generate_family(args.k)
+    s = generate_family(args.k)  # ValueError below k = 0 or above FAMILY_LIMIT bytes
     out: dict = {"k": args.k, "length": len(s), "string": render_bytes(s)}
     if args.k >= 2 or args.check:
         counts = expected_counts(args.k)  # ValueError below k = 2
@@ -502,6 +495,12 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as exc:
         print(f"defect: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader of standard output has gone (``lynlz ... | head``), which
+        # is no error.  Point the descriptor at devnull so that the flush at
+        # exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -524,7 +524,6 @@ CHECK_NAMES = (
 class LemmaReport(NamedTuple):
     """Outcome of re-checking every structural guarantee on one input string."""
 
-    text: bytes
     m: int
     z: int
     checks: tuple[LemmaCheck, ...]
@@ -598,7 +597,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     checks = {name: LemmaCheck(name) for name in CHECK_NAMES}
     m = lf.m
     if m == 0:
-        return LemmaReport(text=s, m=m, z=lz.z, checks=tuple(checks.values()))
+        return LemmaReport(m=m, z=lz.z, checks=tuple(checks.values()))
     runs = lf.runs
     run_bytes = [span.slice(s) for span in runs]
     factor_bytes = [lf.factor_bytes(i) for i in range(1, m + 1)]
@@ -618,7 +617,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         layer = _domain_layer(lf)
     except IntegrityError as exc:
         checks["window-at-anchor-prefix"].record(False, "{}", exc)
-        return LemmaReport(text=s, m=m, z=lz.z, checks=tuple(checks.values()))
+        return LemmaReport(m=m, z=lz.z, checks=tuple(checks.values()))
     rows = layer.rows
     nonempty = layer.nonempty()
 
@@ -765,4 +764,4 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c.record(tiles and lz.z >= _ceil_half(m + t), "t={} m={} z={}", t, m, lz.z)
 
     checks["size-bound"].record(m < 2 * lz.z, "m={} z={}", m, lz.z)
-    return LemmaReport(text=s, m=m, z=lz.z, checks=tuple(checks.values()), t=t)
+    return LemmaReport(m=m, z=lz.z, checks=tuple(checks.values()), t=t)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import IntegrityError
-from .text import Span, is_lyndon
+from .text import Span, gallop, is_lyndon
 
 # Longest input the backtracking oracle accepts: it recurses once per factor,
 # and 512 levels stay well inside Python's default recursion limit (and take
@@ -49,9 +49,10 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
     ``s[k..j)`` stays a prefix of a power of the Lyndon word ``w = s[k..k+p)``,
     with ``p = j - i``.  An equal byte ``s[i] == s[j]`` extends that periodic
     stretch by one.  Once the match into the period reaches ``_GALLOP`` bytes,
-    the stretch is extended by slice compares of doubling, then halving,
-    length: ``s[j:j+step] == s[i:i+step]`` holds exactly when the per-byte
-    loop would take the equal branch ``step`` times in a row.  That costs
+    the stretch is extended by ``text.gallop``, slice compares of doubling,
+    then halving, length: ``s[j:j+step] == s[i:i+step]`` holds exactly when
+    the per-byte loop would take the equal branch ``step`` times in a row.
+    That costs
     O(log stretch) Python steps: ``a^n`` with ``n = 10^6`` takes a few dozen.
 
     The round ends with ``s[k..j) = w^e w'``, ``e = (j-k) // p`` and ``w'`` a
@@ -76,16 +77,9 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
                 i += 1
                 if i - k >= _GALLOP:
                     j += 1
-                    step = _GALLOP
-                    while s[j : j + step] == s[i : i + step]:
-                        i += step
-                        j += step
-                        step *= 2
-                    while step > 1:
-                        step //= 2
-                        if s[j : j + step] == s[i : i + step]:
-                            i += step
-                            j += step
+                    matched = gallop(s, i, j, n - j, _GALLOP)
+                    i += matched
+                    j += matched
                     continue
             else:
                 break

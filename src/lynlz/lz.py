@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
 
-from .text import Span
+from .text import Span, gallop
 
 ORACLE_LIMIT = 10_000
 
@@ -48,25 +48,48 @@ def _from_lengths(s: bytes, lengths: list[int]) -> LZFactorization:
 def lz_factorize(s: bytes) -> LZFactorization:
     """Compute the non-overlapping LZ factorization of ``s``.
 
-    Phrase lengths are found by binary search over the (monotone) predicate
-    "this prefix occurs inside the parsed part", using C-level substring
-    search.
+    The phrase at ``b`` (0-based) is a fresh letter, or else the longest
+    prefix of ``s[b:]`` that occurs in ``s[:b]``.  Its length is found by
+    binary search over the monotone predicate "``s[b:b+L]`` occurs in
+    ``s[:b]``" (an occurrence of a longer prefix is one of every shorter
+    prefix), using C-level substring search, plus two facts that save most
+    of the work:
+
+    * **Resume.**  After a successful probe, ``q`` is the leftmost occurrence
+      in ``s[:b]`` of ``s[b:b+lo]``, the longest prefix found so far.  Any
+      occurrence of a longer prefix at ``r`` is also one of ``s[b:b+lo]``, so
+      ``r >= q``: the next probe searches ``s[q:b]`` only.  A probe that
+      succeeds at ``r`` makes ``r`` the new ``q`` by the same argument.
+    * **Extend.**  The occurrence at ``q`` is extended in place by
+      ``text.gallop``, comparing ``s[q+lo:]`` with ``s[b+lo:]`` for at most
+      ``min(b - q, n - b) - lo`` bytes.  The cap keeps the occurrence inside
+      ``s[:b]`` and the prefix inside ``s``, so every extended length still
+      occurs in ``s[:b]`` (at ``q``, which stays its leftmost occurrence)
+      and raises ``lo`` without another find.
+
+    The bisection stays: the extension only raises the lower bound, and a
+    longer prefix may first occur to the right of ``q``, which only a failing
+    probe rules out.
     """
     n = len(s)
     lengths: list[int] = []
     b = 0  # 0-based phrase start
     while b < n:
-        if s.find(s[b : b + 1], 0, b) < 0:
+        q = s.find(s[b : b + 1], 0, b)
+        if q < 0:
             lengths.append(1)  # leftmost occurrence of a fresh letter
             b += 1
             continue
-        lo, hi = 1, min(b, n - b)
+        lo = 1 + gallop(s, q + 1, b + 1, min(b - q, n - b) - 1)
+        hi = min(b, n - b)
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if s.find(s[b : b + mid], 0, b) >= 0:
-                lo = mid
-            else:
+            r = s.find(s[b : b + mid], q, b)
+            if r < 0:
                 hi = mid - 1
+            else:
+                q = r
+                lo = mid + gallop(s, q + mid, b + mid, min(b - q, n - b) - mid)
         lengths.append(lo)
         b += lo
     return _from_lengths(s, lengths)

@@ -1,4 +1,4 @@
-"""Byte-string primitives: spans and the Lyndon test.
+"""Byte-string primitives: spans, the Lyndon test and the galloping match.
 
 All positions exposed by this package are 1-based and inclusive, so a
 substring of ``s`` is addressed exactly as ``s[i..j]``.  Symbols are single
@@ -65,6 +65,27 @@ class Span(_SpanFields):
         if self.is_empty or other.is_empty:
             return False
         return self.start <= other.end and other.start <= self.end
+
+
+def gallop(s: bytes, i: int, j: int, limit: int, step: int = 1) -> int:
+    """Length of the longest common prefix of ``s[i:]`` and ``s[j:]``, capped at ``limit``.
+
+    Slice compares of doubling, then halving, length, with ``step`` a power
+    of two as the first length: O(log result) Python steps.  The doubling
+    phase ends with the result below ``k + step``: the compare of ``step``
+    more bytes failed, or would pass ``limit``.  Each halving keeps that
+    bound, so at ``step = 1`` the result is ``k``.  The caller keeps both
+    ``i + limit`` and ``j + limit`` within ``len(s)``.
+    """
+    k = 0
+    while k + step <= limit and s[i + k : i + k + step] == s[j + k : j + k + step]:
+        k += step
+        step *= 2
+    while step > 1:
+        step //= 2
+        if k + step <= limit and s[i + k : i + k + step] == s[j + k : j + k + step]:
+            k += step
+    return k
 
 
 def is_lyndon(w: bytes) -> bool:

@@ -6,7 +6,16 @@ from collections import Counter
 
 import pytest
 
-from lynlz import CanonicalDecomposition, Cluster, Domain, Span, bounds, cli, domains
+from lynlz import (
+    CanonicalDecomposition,
+    Cluster,
+    Domain,
+    Span,
+    bounds,
+    cli,
+    domains,
+    generate_family,
+)
 
 # 25-character worked example: five runs (abb)^2, ababbababbb, ababb, ab, a
 FIGURE_STRING = b"abbabbababbababbbababbaba"
@@ -17,6 +26,18 @@ GROUP_TOP_STRING = b"ababbababbb" + b"ababbababbabb" + b"ababb" + b"ab" + b"a"
 GROUP_BOTTOM_STRING = (
     b"ababbababbbababbababbbb" + b"ababbababbb" + b"ababb" + b"ab" + b"a"
 )
+
+
+def fibonacci_prefix(n: int) -> bytes:
+    prev, cur = b"b", b"a"
+    while len(cur) < n:
+        prev, cur = cur, cur + prev
+    return cur[:n]
+
+
+def repeated_family_block(n: int) -> bytes:
+    block = generate_family(12)
+    return (block * (n // len(block) + 1))[:n]
 
 
 def unit_run_domain(i: int, d: int, j: int) -> Domain:

@@ -116,7 +116,7 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
     lf = lyndon_factorize(s)
     lz = lz_factorize(s)
     checks = {name: LemmaCheck(name) for name in CHECK_NAMES}
-    report = LemmaReport(text=s, m=lf.m, z=lz.z, checks=tuple(checks.values()))
+    report = LemmaReport(m=lf.m, z=lz.z, checks=tuple(checks.values()))
     m = lf.m
     if m == 0:
         return report

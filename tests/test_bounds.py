@@ -30,7 +30,15 @@ from lynlz import (
     lz_factorize,
     verify_lemmas,
 )
-from lynlz.bounds import _alphabet, _is_canonical, _measure, _plan, _strings, family_length
+from lynlz.bounds import (
+    FAMILY_LIMIT,
+    _alphabet,
+    _is_canonical,
+    _measure,
+    _plan,
+    _strings,
+    family_length,
+)
 from lynlz.cli import main
 
 
@@ -52,8 +60,15 @@ class TestGenerateFamily:
 
     def test_length_closed_form(self):
         assert [family_length(k) for k in range(61)] == [len(generate_family(k)) for k in range(61)]
-        # The CLI's 10^7-byte bound falls between k = 270 and k = 271.
+        # The 10^7-byte bound falls between k = 270 and k = 271.
         assert (family_length(270), family_length(271)) == (9_950_852, 10_061_419)
+
+    def test_byte_limit_edge(self):
+        assert FAMILY_LIMIT == 10_000_000
+        assert len(generate_family(270)) == 9_950_852
+        message = "^family k=271 has 10061419 bytes, above the limit of 10000000$"
+        with pytest.raises(ValueError, match=message):
+            generate_family(271)
 
 
 class TestRecords:
@@ -242,7 +257,7 @@ class TestComputeOnce:
 
     def test_measure_reports_size_bound_before_lemmas(self, monkeypatch):
         failed = LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=4 z=2")
-        bad = LemmaReport(text=b"ab", m=4, z=2, checks=(failed,))
+        bad = LemmaReport(m=4, z=2, checks=(failed,))
         monkeypatch.setattr("lynlz.bounds.verify_lemmas", lambda s: bad)
         with pytest.raises(IntegrityError, match=r"^size bound violated: m=4, z=2, witness b'ab'$"):
             _measure(b"ab", 2, True)

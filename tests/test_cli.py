@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from lynlz.cli import main, render_bytes
 from lynlz.lz import ORACLE_LIMIT
 
 FIG_TEXT = FIGURE_STRING.decode()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -193,7 +198,6 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = LemmaReport(
-            text=b"x",
             m=1,
             z=1,
             checks=(LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=1 z=1"),),
@@ -223,9 +227,9 @@ class TestFamilyCommand:
         assert json.loads(out)["string"] == "ba"
 
     @pytest.mark.parametrize("k", [271, 100_000])
-    def test_refuses_above_byte_limit(self, capsys, monkeypatch, k):
-        # Refused from the closed-form length, before any byte is generated.
-        monkeypatch.setattr("lynlz.cli.generate_family", lambda k: pytest.fail("generated"))
+    def test_refuses_above_byte_limit(self, capsys, k):
+        # Refused from the closed-form length, before any byte is generated:
+        # k = 100,000 would need about 5 * 10^14 bytes.
         assert main(["family", "--k", str(k)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -351,6 +355,30 @@ class TestUsage:
 
     def test_conflicting_inputs(self, capsys):
         assert main(["lyndon", "--text", "a", "--file", "b"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "--k", "200"],
+            ["search", "--sigma", "2", "--max-len", "16", "--jobs", "2", "--format", "tsv"],
+        ],
+        ids=["family", "search-tsv"],
+    )
+    def test_closed_stdout_exits_zero(self, argv):
+        # `lynlz ... | head -c 10`: the reader leaves while megabytes are
+        # still to be written.  That is no error, and nothing goes to stderr,
+        # not even at interpreter shutdown.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lynlz", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
 
 
 def test_render_bytes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING
+from conftest import FIGURE_STRING, fibonacci_prefix, repeated_family_block
 from lynlz import Span, generate_family, is_lyndon, lyndon_factorize, oracle_lyndon_dp
 from lynlz.lyndon import ORACLE_LIMIT
 
@@ -50,18 +50,6 @@ def duval_per_byte(s: bytes) -> tuple[tuple, tuple]:
         runs.append(Span(start + 1, start + count * length))
         idx += count
     return tuple(factors), tuple(runs)
-
-
-def fibonacci_prefix(n: int) -> bytes:
-    prev, cur = b"b", b"a"
-    while len(cur) < n:
-        prev, cur = cur, cur + prev
-    return cur[:n]
-
-
-def repeated_family_block(n: int) -> bytes:
-    block = generate_family(12)
-    return (block * (n // len(block) + 1))[:n]
 
 
 @st.composite

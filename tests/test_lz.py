@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING
+from conftest import FIGURE_STRING, fibonacci_prefix, repeated_family_block
 from lynlz import Span, generate_family, lz_factorize, oracle_lz_naive
 from lynlz.lz import ORACLE_LIMIT
 
@@ -62,10 +62,32 @@ class TestOracle:
             oracle_lz_naive(s + b"a")
 
     def test_equivalence_exhaustive_binary(self):
-        for n in range(0, 13):
+        for n in range(0, 15):
             for tup in product(b"ab", repeat=n):
                 s = bytes(tup)
                 assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases, s
+
+    def test_equivalence_exhaustive_ternary(self):
+        for n in range(0, 10):
+            for tup in product(b"abc", repeat=n):
+                s = bytes(tup)
+                assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases, s
+
+    @pytest.mark.parametrize("flip", [None, ORACLE_LIMIT // 2, ORACLE_LIMIT - 2])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: b"a" * n, lambda n: b"ab" * (n // 2), fibonacci_prefix, repeated_family_block],
+        ids=["a^n", "(ab)^n", "fibonacci", "family-k12"],
+    )
+    def test_equivalence_long_repetitive(self, make, flip):
+        # Long phrases whose leftmost occurrence reaches up to the phrase
+        # start, so the extension stops at its cap b - q (in a^n every phrase
+        # after the first is the whole parsed prefix); a flipped byte ends
+        # one such phrase early and starts a fresh match after it.
+        s = make(ORACLE_LIMIT)
+        if flip is not None:
+            s = s[:flip] + bytes([s[flip] ^ 3]) + s[flip + 1 :]  # a <-> b
+        assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases
 
     @given(st.text(alphabet="abcd", max_size=120).map(str.encode))
     def test_equivalence_random(self, s):

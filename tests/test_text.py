@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import FIGURE_STRING
 from lynlz import Span, is_lyndon, oracle_lz_naive
+from lynlz.text import gallop
 
 
 def binary_words(max_len: int, alphabet: bytes = b"ab", min_len: int = 0) -> list[bytes]:
@@ -173,3 +174,23 @@ class TestSpan:
         assert outer.contains(Span.empty(4))
         assert outer.overlaps(inner) and not outer.overlaps(disjoint)
         assert not outer.overlaps(Span.empty(4))
+
+
+class TestGallop:
+    @staticmethod
+    def common_prefix(s: bytes, i: int, j: int, limit: int) -> int:
+        k = 0
+        while k < limit and s[i + k] == s[j + k]:
+            k += 1
+        return k
+
+    @pytest.mark.parametrize("step", [1, 2, 16])
+    def test_matches_byte_loop(self, step):
+        # Every pair i < j and every limit that stays inside the word.
+        for s in binary_words(9, min_len=2) + [b"a" * 40, b"ab" * 20, b"aab" * 13]:
+            n = len(s)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for limit in range(n - j + 1):
+                        expected = self.common_prefix(s, i, j, limit)
+                        assert gallop(s, i, j, limit, step) == expected, (s, i, j, limit)
