@@ -8,6 +8,9 @@ here, and the failure names the cases.
 Run this file as a script to rewrite the JSON from the current code:
 
     PYTHONPATH=src python tests/test_cli_digests.py
+
+Help text wraps at the terminal width, which argparse reads from
+``COLUMNS``, so every run fixes it at ``COLUMNS``.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from conftest import FIGURE_STRING
 from lynlz import compute_domain, generate_family, lyndon_factorize
@@ -27,6 +32,8 @@ from lynlz.cli import main
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 FORMATS = ("human", "json", "tsv")
+COLUMNS = "80"
+COMMANDS = ("lyndon", "lz", "domains", "canonical", "verify", "family", "search", "partition")
 # Bytes outside printable ASCII, the backslash and a trailing newline, which
 # --file keeps.
 FILE_BYTES = bytes(range(0, 256, 17)) + b"ab\\ba\x7f\r\n"
@@ -83,13 +90,38 @@ def cases(input_file: str) -> dict[str, list[str]]:
     out["search/past-limit"] = [
         "search", "--sigma", "2", "--max-len", "10", "--limit", "100", "--jobs", "1"
     ]
+    out.update(parser_cases(input_file))
+    return out
+
+
+def parser_cases(input_file: str) -> dict[str, list[str]]:
+    """Help, usage and error text that argparse writes."""
+    out = {"parser/help": ["-h"], "parser/no-arguments": []}
+    for command in COMMANDS:
+        out[f"parser/help-{command}"] = [command, "-h"]
+    out.update({
+        "parser/unknown-command": ["bogus"],
+        "parser/abbreviated-command": ["verif", "--text", "ab"],
+        "parser/option-before-command": ["--format", "json", "verify", "--text", "ab"],
+        "parser/unknown-option": ["verify", "--text", "ab", "--bogus"],
+        "parser/extra-positional": ["verify", "--text", "ab", "extra"],
+        "parser/search-missing-max-len": ["search", "--sigma", "2"],
+        "parser/canonical-missing-run": ["canonical", "--text", "ab", "--order", "1"],
+        "parser/bad-format": ["lz", "--text", "ab", "--format", "xml"],
+        "parser/text-and-file": ["lz", "--text", "ab", "--file", input_file],
+        "parser/missing-file": ["lz", "--file", "missing-directory/input.bin"],
+    })
     return out
 
 
 def digest(argv: list[str]) -> str:
     """SHA-256 of the exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": COLUMNS}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         code = main(argv)
     blob = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(blob.encode()).hexdigest()
