@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .bounds import (
     exhaustive_search,
@@ -104,7 +103,8 @@ def _read_input(args: argparse.Namespace) -> bytes:
         data = args.text.encode("latin-1")
         strip_default = False
     elif args.file is not None:
-        data = Path(args.file).read_bytes()
+        with open(args.file, "rb") as f:
+            data = f.read()
         strip_default = False
     else:
         data = sys.stdin.buffer.read()
@@ -417,13 +417,31 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("lyndon", "lz", "domains", "canonical", "verify", "family", "search", "partition")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``lynlz`` parser with every subcommand, or with ``command``'s alone.
+
+    A one-command parser still names all of ``COMMANDS`` in its usage line,
+    so the text it prints is the full parser's for that command's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="lynlz",
         description="Lyndon vs non-overlapping LZ factorizations: reports, "
         "structural verification and extremal search.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The full parser lists the commands from its choices.  A metavar there
+    # would also rename the action in its "argument command:" errors.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+
+    def add(name: str, help: str, handler) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
     def add_io(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group()
@@ -437,55 +455,51 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
-    p = sub.add_parser("lyndon", help="Lyndon factorization report")
-    add_io(p)
-    p.add_argument("--oracle-check", action="store_true", help="cross-check against the backtracking oracle")
-    p.set_defaults(handler=_cmd_lyndon)
+    if p := add("lyndon", "Lyndon factorization report", _cmd_lyndon):
+        add_io(p)
+        p.add_argument("--oracle-check", action="store_true", help="cross-check against the backtracking oracle")
 
-    p = sub.add_parser("lz", help="non-overlapping LZ factorization report")
-    add_io(p)
-    p.add_argument("--oracle-check", action="store_true", help="cross-check against the naive greedy oracle")
-    p.set_defaults(handler=_cmd_lz)
+    if p := add("lz", "non-overlapping LZ factorization report", _cmd_lz):
+        add_io(p)
+        p.add_argument("--oracle-check", action="store_true", help="cross-check against the naive greedy oracle")
 
-    p = sub.add_parser("domains", help="all domains, tandem domains and groups")
-    add_io(p)
-    p.set_defaults(handler=_cmd_domains)
+    if p := add("domains", "all domains, tandem domains and groups", _cmd_domains):
+        add_io(p)
 
-    p = sub.add_parser("canonical", help="canonical subdomain decomposition of one domain")
-    add_io(p)
-    p.add_argument("--run", type=int, required=True, help="run index i (1-based)")
-    p.add_argument("--order", type=int, required=True, help="domain order d")
-    p.set_defaults(handler=_cmd_canonical)
+    if p := add("canonical", "canonical subdomain decomposition of one domain", _cmd_canonical):
+        add_io(p)
+        p.add_argument("--run", type=int, required=True, help="run index i (1-based)")
+        p.add_argument("--order", type=int, required=True, help="domain order d")
 
-    p = sub.add_parser("verify", help="re-check every structural guarantee on the input")
-    add_io(p)
-    p.set_defaults(handler=_cmd_verify)
+    if p := add("verify", "re-check every structural guarantee on the input", _cmd_verify):
+        add_io(p)
 
-    p = sub.add_parser("family", help="lower-bound family string and its closed-form sizes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--check", action="store_true", help="verify sizes and the exact phrase list")
-    p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
-    p.set_defaults(handler=_cmd_family)
+    if p := add("family", "lower-bound family string and its closed-form sizes", _cmd_family):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--check", action="store_true", help="verify sizes and the exact phrase list")
+        p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
-    p = sub.add_parser("search", help="enumerate all strings up to a length, track extremes")
-    p.add_argument("--sigma", type=int, required=True, help="alphabet size")
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
-    p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPUs)")
-    p.add_argument("--limit", type=int, default=10_000_000, help="refuse to enumerate more strings than this")
-    p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
-    p.set_defaults(handler=_cmd_search)
+    if p := add("search", "enumerate all strings up to a length, track extremes", _cmd_search):
+        p.add_argument("--sigma", type=int, required=True, help="alphabet size")
+        p.add_argument("--max-len", type=int, required=True)
+        p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
+        p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
+        p.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPUs)")
+        p.add_argument("--limit", type=int, default=10_000_000, help="refuse to enumerate more strings than this")
+        p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
-    p = sub.add_parser("partition", help="tile the input into order-1 extended domains")
-    add_io(p)
-    p.set_defaults(handler=_cmd_partition)
+    if p := add("partition", "tile the input into order-1 extended domains", _cmd_partition):
+        add_io(p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Build only the subparser that will run.  Anything else (help, an
+    # unknown or abbreviated command, an option first) needs the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

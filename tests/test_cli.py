@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from conftest import FIGURE_STRING
 from lynlz import IntegrityError, LemmaCheck, LemmaReport, exhaustive_search, generate_family
 from lynlz.bounds import _measure
 from lynlz.domains import CHECK_NAMES
-from lynlz.cli import main, render_bytes
+from lynlz.cli import COMMANDS, build_parser, main, render_bytes
 from lynlz.lz import ORACLE_LIMIT
 
 FIG_TEXT = FIGURE_STRING.decode()
@@ -379,6 +380,35 @@ class TestUsage:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
+
+
+class TestParserBuild:
+    """The CLI builds the parser of the subcommand being run and no other."""
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch) -> list:
+        built: list = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(["lz", "--text", "ab"], 2), (["bogus"], 9), (["-h"], 9)],
+        ids=["command", "unknown", "help"],
+    )
+    def test_parsers_built(self, capsys, parsers_built, argv, count):
+        main(argv)
+        assert len(parsers_built) == count
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_usage_names_every_command(self, command):
+        assert build_parser(command).format_usage() == build_parser().format_usage()
 
 
 def test_render_bytes():
