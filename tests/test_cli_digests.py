@@ -9,8 +9,8 @@ Run this file as a script to rewrite the JSON from the current code:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
-Help text wraps at the terminal width, which argparse reads from
-``COLUMNS``, so every run fixes it at ``COLUMNS``.
+Help text wraps at the terminal width, which argparse reads from the
+``COLUMNS`` environment variable, so ``digest`` sets it to ``COLUMNS``.
 """
 
 from __future__ import annotations
