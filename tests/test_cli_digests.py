@@ -27,13 +27,12 @@ from unittest import mock
 
 from conftest import FIGURE_STRING
 from lynlz import compute_domain, generate_family, lyndon_factorize
-from lynlz.cli import main
+from lynlz.cli import COMMANDS, main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 FORMATS = ("human", "json", "tsv")
 COLUMNS = "80"
-COMMANDS = ("lyndon", "lz", "domains", "canonical", "verify", "family", "search", "partition")
 # Bytes outside printable ASCII, the backslash and a trailing newline, which
 # --file keeps.
 FILE_BYTES = bytes(range(0, 256, 17)) + b"ab\\ba\x7f\r\n"
@@ -85,6 +84,12 @@ def cases(input_file: str) -> dict[str, list[str]]:
     for name, sweep in sweeps.items():
         for fmt in FORMATS:
             out[f"search/{name}/{fmt}"] = ["search", *sweep, "--jobs", "1", "--format", fmt]
+    # Length 13 splits into two tasks, so with two workers the summaries merge
+    # and the tsv rows come from both.
+    for fmt in FORMATS:
+        out[f"search/sigma2-len13-jobs2/{fmt}"] = [
+            "search", "--sigma", "2", "--max-len", "13", "--jobs", "2", "--format", fmt
+        ]
     out["search/sigma27"] = ["search", "--sigma", "27", "--max-len", "2", "--jobs", "1"]
     out["search/max-len-negative"] = ["search", "--sigma", "2", "--max-len", "-1", "--jobs", "1"]
     out["search/past-limit"] = [
