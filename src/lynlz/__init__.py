@@ -6,7 +6,6 @@ from .bounds import (
     ExtdomPartition,
     FamilyCounts,
     SearchRecord,
-    SearchSummary,
     TheoremReport,
     check_theorem,
     exhaustive_search,
@@ -55,7 +54,6 @@ __all__ = [
     "LZFactorization",
     "PGroup",
     "SearchRecord",
-    "SearchSummary",
     "Span",
     "TandemDomain",
     "TheoremReport",

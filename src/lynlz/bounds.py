@@ -133,10 +133,13 @@ def expected_lz_phrases(k: int) -> list[bytes]:
     return phrases
 
 
+# Most strings a sweep enumerates, unless its caller passes another ``limit``.
+SEARCH_LIMIT = 10_000_000
+
+
 class SearchRecord(NamedTuple):
     """Factorization sizes for one enumerated string."""
 
-    sigma: int
     n: int
     string: bytes
     m: int
@@ -175,16 +178,6 @@ class LengthSummary:
             self.max_ratio, self.max_ratio_string = later.max_ratio, later.max_ratio_string
 
 
-@dataclass
-class SearchSummary:
-    sigma: int
-    max_len: int
-    dedupe: bool
-    lemmas_checked: bool
-    total: int
-    per_length: list[LengthSummary]
-
-
 def _alphabet(sigma: int) -> bytes:
     if sigma < 1 or sigma > 26:
         raise ValueError("alphabet size must be between 1 and 26")
@@ -197,7 +190,7 @@ def _is_canonical(s: bytes) -> bool:
     return used == list(range(ord("a"), ord("a") + len(used)))
 
 
-def _measure(s: bytes, sigma: int, check_lemmas: bool) -> SearchRecord:
+def _measure(s: bytes, check_lemmas: bool) -> SearchRecord:
     if check_lemmas:
         report = verify_lemmas(s)
         m, z = report.m, report.z
@@ -209,7 +202,7 @@ def _measure(s: bytes, sigma: int, check_lemmas: bool) -> SearchRecord:
     if check_lemmas and not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
         raise IntegrityError(f"lemma checks failed ({failed}) on witness {s!r}")
-    return SearchRecord(sigma=sigma, n=len(s), string=s, m=m, z=z)
+    return SearchRecord(n=len(s), string=s, m=m, z=z)
 
 
 def iter_search(
@@ -218,8 +211,8 @@ def iter_search(
     *,
     dedupe: bool = False,
     check_lemmas: bool = False,
-    jobs: int | None = 1,
-    limit: int = 10_000_000,
+    jobs: int | None = None,
+    limit: int = SEARCH_LIMIT,
 ) -> Iterator[SearchRecord]:
     """Enumerate all strings of length 1..max_len in length-then-lex order.
 
@@ -268,7 +261,7 @@ _Task = tuple[int, int, bytes, bool, bool]  # sigma, n, prefix, dedupe, check_le
 
 def _measured(task: _Task) -> list[SearchRecord]:
     sigma, n, prefix, dedupe, check_lemmas = task
-    return [_measure(s, sigma, check_lemmas) for s in _strings(_alphabet(sigma), n, prefix, dedupe)]
+    return [_measure(s, check_lemmas) for s in _strings(_alphabet(sigma), n, prefix, dedupe)]
 
 
 def _worker(task: _Task) -> LengthSummary:
@@ -332,23 +325,16 @@ def exhaustive_search(
     dedupe: bool = False,
     check_lemmas: bool = False,
     jobs: int | None = None,
-    limit: int = 10_000_000,
-) -> SearchSummary:
-    """Sweep every string up to max_len, verifying bounds and tracking extremes.
+    limit: int = SEARCH_LIMIT,
+) -> list[LengthSummary]:
+    """Sweep every string up to max_len, verifying bounds; one summary per length 1..max_len.
 
     Each task (see ``_plan``) is summarized where it runs, and the summaries
     merge in task order, so the result is the same for every job count.  The
     first violation found anywhere aborts the sweep with the witness string.
     """
     tasks, jobs = _plan(sigma, max_len, dedupe, check_lemmas, jobs, limit)
-    per_length = {n: LengthSummary(n=n) for n in range(1, max_len + 1)}
+    per_length = [LengthSummary(n=n) for n in range(1, max_len + 1)]
     for part in _in_order(_worker, tasks, jobs):
-        per_length[part.n].merge(part)
-    return SearchSummary(
-        sigma=sigma,
-        max_len=max_len,
-        dedupe=dedupe,
-        lemmas_checked=check_lemmas,
-        total=sum(ls.count for ls in per_length.values()),
-        per_length=list(per_length.values()),
-    )
+        per_length[part.n - 1].merge(part)
+    return per_length

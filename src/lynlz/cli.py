@@ -14,6 +14,7 @@ import os
 import sys
 
 from .bounds import (
+    SEARCH_LIMIT,
     exhaustive_search,
     expected_counts,
     expected_lz_phrases,
@@ -380,10 +381,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.format == "tsv":
         for rec in iter_search(args.sigma, args.max_len, **sweep):
             print(
-                f"{rec.sigma}\t{rec.n}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"
+                f"{args.sigma}\t{rec.n}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"
             )
         return 0
-    summary = exhaustive_search(args.sigma, args.max_len, **sweep)
+    summaries = exhaustive_search(args.sigma, args.max_len, **sweep)
+    total = sum(ls.count for ls in summaries)
     per_length = [
         {
             "n": ls.n,
@@ -393,21 +395,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "max_ratio": ls.max_ratio,
             "max_ratio_string": render_bytes(ls.max_ratio_string) if ls.max_ratio_string else None,
         }
-        for ls in summary.per_length
+        for ls in summaries
     ]
     if args.format == "json":
         _emit_json(
             {
-                "sigma": summary.sigma,
-                "max_len": summary.max_len,
-                "dedupe": summary.dedupe,
-                "lemmas_checked": summary.lemmas_checked,
-                "total": summary.total,
+                "sigma": args.sigma,
+                "max_len": args.max_len,
+                "dedupe": args.dedupe,
+                "lemmas_checked": args.check_lemmas,
+                "total": total,
                 "per_length": per_length,
             }
         )
     else:
-        print(f"searched {summary.total} strings over {summary.sigma} letters, lengths 1..{summary.max_len}")
+        print(f"searched {total} strings over {args.sigma} letters, lengths 1..{args.max_len}")
         for ls in per_length:
             print(
                 f"  n={ls['n']}: {ls['count']} strings, max m-z = {ls['max_diff']}"
@@ -485,7 +487,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
         p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
         p.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPUs)")
-        p.add_argument("--limit", type=int, default=10_000_000, help="refuse to enumerate more strings than this")
+        p.add_argument("--limit", type=int, default=SEARCH_LIMIT, help="refuse to enumerate more strings than this")
         p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
     if p := add("partition", "tile the input into order-1 extended domains", _cmd_partition):

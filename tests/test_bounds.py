@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from lynlz import (
 )
 from lynlz.bounds import (
     FAMILY_LIMIT,
+    SEARCH_LIMIT,
     _alphabet,
     _is_canonical,
     _measure,
@@ -39,7 +41,7 @@ from lynlz.bounds import (
     _strings,
     family_length,
 )
-from lynlz.cli import main
+from lynlz.cli import build_parser, main
 
 
 class TestGenerateFamily:
@@ -83,8 +85,8 @@ class TestRecords:
                 "Domain(i=2, d=1, j=1, span=Span(start=1, end=1), associated=Span(start=1, end=1))",
             ),
             (
-                SearchRecord(sigma=2, n=2, string=b"ab", m=1, z=2),
-                "SearchRecord(sigma=2, n=2, string=b'ab', m=1, z=2)",
+                SearchRecord(n=2, string=b"ab", m=1, z=2),
+                "SearchRecord(n=2, string=b'ab', m=1, z=2)",
             ),
             (check_theorem(FIGURE_STRING), "TheoremReport(m=5, z=8, t=1, passes=True, slack=11)"),
         ],
@@ -249,7 +251,7 @@ class TestComputeOnce:
 
     @pytest.mark.parametrize("check_lemmas, tables", [(False, 0), (True, 1)])
     def test_measure_factorizes_once(self, call_counts, check_lemmas, tables):
-        record = _measure(FIGURE_STRING, 2, check_lemmas)
+        record = _measure(FIGURE_STRING, check_lemmas)
         assert (record.m, record.z) == (5, 8)
         assert call_counts["lyndon_factorize"] == 1
         assert call_counts["lz_factorize"] == 1
@@ -260,7 +262,7 @@ class TestComputeOnce:
         bad = LemmaReport(m=4, z=2, checks=(failed,))
         monkeypatch.setattr("lynlz.bounds.verify_lemmas", lambda s: bad)
         with pytest.raises(IntegrityError, match=r"^size bound violated: m=4, z=2, witness b'ab'$"):
-            _measure(b"ab", 2, True)
+            _measure(b"ab", True)
 
 
 class RecordingPool:
@@ -281,21 +283,21 @@ class RecordingPool:
 
 class TestSearch:
     def test_unary_alphabet(self):
-        records = list(iter_search(1, 5))
+        records = list(iter_search(1, 5, jobs=1))
         assert [r.string for r in records] == [b"a" * n for n in range(1, 6)]
         assert all(r.m == 1 for r in records)
         assert [r.z for r in records] == [1, 2, 3, 3, 4]
         assert all(r.slack > 0 for r in records)
 
     def test_enumeration_order(self):
-        strings = [r.string for r in iter_search(2, 2)]
+        strings = [r.string for r in iter_search(2, 2, jobs=1)]
         assert strings == [b"a", b"b", b"aa", b"ab", b"ba", b"bb"]
 
     def test_summary_counts_and_ratio(self):
-        summary = exhaustive_search(2, 8, jobs=1)
-        assert summary.total == 2**9 - 2
-        assert max(ls.max_ratio for ls in summary.per_length) < 2.0
-        assert summary.per_length[0].count == 2
+        per_length = exhaustive_search(2, 8, jobs=1)
+        assert sum(ls.count for ls in per_length) == 2**9 - 2
+        assert max(ls.max_ratio for ls in per_length) < 2.0
+        assert per_length[0].count == 2
 
     def test_parallel_matches_serial(self):
         serial = exhaustive_search(2, 9, jobs=1)
@@ -309,11 +311,24 @@ class TestSearch:
 
     def test_dedupe_counts(self):
         # Binary: only the all-'b' string per length is non-canonical.
-        summary = exhaustive_search(2, 6, dedupe=True, jobs=1)
-        assert summary.total == sum(2**n - 1 for n in range(1, 7))
-        records = list(iter_search(2, 3, dedupe=True))
+        per_length = exhaustive_search(2, 6, dedupe=True, jobs=1)
+        assert sum(ls.count for ls in per_length) == sum(2**n - 1 for n in range(1, 7))
+        records = list(iter_search(2, 3, dedupe=True, jobs=1))
         assert b"b" not in [r.string for r in records]
         assert b"bb" not in [r.string for r in records]
+
+    def test_sweep_defaults_stated_once(self):
+        # Both sweeps and `search` default to the CPU count and to SEARCH_LIMIT.
+        def defaults(fn):
+            params = inspect.signature(fn).parameters.values()
+            return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+        assert defaults(iter_search) == defaults(exhaustive_search)
+        assert defaults(iter_search)["jobs"] is None
+        assert defaults(iter_search)["limit"] == SEARCH_LIMIT
+        args = build_parser("search").parse_args(["search", "--sigma", "2", "--max-len", "1"])
+        assert args.limit == SEARCH_LIMIT
+        assert args.jobs is None
 
     def test_budget_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -324,8 +339,7 @@ class TestSearch:
     def test_max_diff_zero_attained_by_family(self):
         # At length 12 the best m - z over the binary alphabet is 0 and the
         # family string attains it.
-        summary = exhaustive_search(2, 12, jobs=2)
-        by_n = {ls.n: ls for ls in summary.per_length}
+        by_n = {ls.n: ls for ls in exhaustive_search(2, 12, jobs=2)}
         assert by_n[12].max_diff == 0
         assert by_n[12].max_diff_string == generate_family(2)
 
@@ -350,7 +364,7 @@ class TestSearch:
         assert capsys.readouterr().out == rows
         assert sizes == [3, 3, 2, 3, 3]
         assert rows.splitlines() == [
-            f"2\t{r.n}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}" for r in iter_search(2, 6)
+            f"2\t{r.n}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}" for r in iter_search(2, 6, jobs=1)
         ]
 
     def test_non_positive_jobs_run_in_process(self, monkeypatch, capsys):
@@ -402,30 +416,29 @@ class TestSearch:
     def test_dedupe_keeps_every_extreme(self):
         # A string and its relabeling onto the smallest letters, in the same
         # order, have the same m and z, and the relabeled one sorts first.
-        def extremes(summary):
+        def extremes(per_length):
             return [
                 (ls.n, ls.max_diff, ls.max_diff_string, ls.max_ratio, ls.max_ratio_string)
-                for ls in summary.per_length
+                for ls in per_length
             ]
 
         full = exhaustive_search(3, 7, jobs=1)
         deduped = exhaustive_search(3, 7, dedupe=True, jobs=1)
-        assert deduped.total < full.total
+        assert sum(ls.count for ls in deduped) < sum(ls.count for ls in full)
         assert extremes(deduped) == extremes(full)
 
     def test_dedupe_tasks_without_canonical_strings(self):
         # With 26 letters, length 3 is split by its first letter, and no string
         # starting past 'c' uses only the smallest letters.
         wide = exhaustive_search(26, 3, dedupe=True, jobs=1)
-        assert wide.per_length == exhaustive_search(3, 3, dedupe=True, jobs=1).per_length
+        assert wide == exhaustive_search(3, 3, dedupe=True, jobs=1)
 
     def test_empty_sweep_opens_no_pool(self, monkeypatch, capsys):
         # No lengths means no tasks: the sweep runs in process, whatever the
         # job count, and reports nothing.
         sizes: list[int] = []
         monkeypatch.setattr("multiprocessing.Pool", lambda processes: RecordingPool(sizes, processes))
-        summary = exhaustive_search(2, 0, jobs=4)
-        assert (summary.total, summary.per_length) == (0, [])
+        assert exhaustive_search(2, 0, jobs=4) == []
         assert list(iter_search(2, 0)) == []
         empty = ("search", "--sigma", "2", "--max-len", "0", "--jobs", "2")
         for fmt in ("human", "json", "tsv"):
@@ -451,9 +464,9 @@ class TestSearch:
         # bound refuses the sweep before its tasks are listed.
         with pytest.raises(ValueError, match="max length must be <= 64"):
             list(iter_search(1, 65))
-        summary = exhaustive_search(1, 64, jobs=1)
-        assert [ls.n for ls in summary.per_length] == list(range(1, 65))
-        assert summary.total == 64
+        per_length = exhaustive_search(1, 64, jobs=1)
+        assert [ls.n for ls in per_length] == list(range(1, 65))
+        assert sum(ls.count for ls in per_length) == 64
 
 
 class TestAsymptotics:

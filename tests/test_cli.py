@@ -252,7 +252,9 @@ class TestSearchCommand:
         code2, out2 = run(capsys, *argv, "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
-        assert len(out1.splitlines()) == exhaustive_search(3, 6, dedupe=True, jobs=1).total
+        assert len(out1.splitlines()) == sum(
+            ls.count for ls in exhaustive_search(3, 6, dedupe=True, jobs=1)
+        )
 
     def test_json_deterministic(self, capsys):
         code1, out1 = run(capsys, "search", "--sigma", "2", "--max-len", "6", "--format", "json", "--jobs", "2")
@@ -299,10 +301,10 @@ class TestSearchCommand:
         # a violation inside 'b…' prints every row before that task.
         witness = b"b" + b"ab" * 6
 
-        def failing(s, sigma, check_lemmas):
+        def failing(s, check_lemmas):
             if s == witness:
                 raise IntegrityError(f"size bound violated: m=9, z=4, witness {s!r}")
-            return _measure(s, sigma, check_lemmas)
+            return _measure(s, check_lemmas)
 
         monkeypatch.setattr("lynlz.bounds._measure", failing)
         code = main(["search", "--sigma", "2", "--max-len", "13", "--format", "tsv", "--jobs", "1"])
