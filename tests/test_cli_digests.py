@@ -77,19 +77,16 @@ def cases(input_file: str) -> dict[str, list[str]]:
                     "family", "--k", str(k), *check, "--format", fmt
                 ]
     sweeps = {
-        "sigma2-len8": ["--sigma", "2", "--max-len", "8"],
-        "sigma3-len5-dedupe": ["--sigma", "3", "--max-len", "5", "--dedupe"],
-        "sigma2-len5-lemmas": ["--sigma", "2", "--max-len", "5", "--check-lemmas"],
+        "sigma2-len8": ["--sigma", "2", "--max-len", "8", "--jobs", "1"],
+        "sigma3-len5-dedupe": ["--sigma", "3", "--max-len", "5", "--dedupe", "--jobs", "1"],
+        "sigma2-len5-lemmas": ["--sigma", "2", "--max-len", "5", "--check-lemmas", "--jobs", "1"],
+        # Length 13 splits into two tasks, so two workers merge summaries
+        # and stream tsv rows.
+        "sigma2-len13-jobs2": ["--sigma", "2", "--max-len", "13", "--jobs", "2"],
     }
     for name, sweep in sweeps.items():
         for fmt in FORMATS:
-            out[f"search/{name}/{fmt}"] = ["search", *sweep, "--jobs", "1", "--format", fmt]
-    # Length 13 splits into two tasks, so with two workers the summaries merge
-    # and the tsv rows come from both.
-    for fmt in FORMATS:
-        out[f"search/sigma2-len13-jobs2/{fmt}"] = [
-            "search", "--sigma", "2", "--max-len", "13", "--jobs", "2", "--format", fmt
-        ]
+            out[f"search/{name}/{fmt}"] = ["search", *sweep, "--format", fmt]
     out["search/sigma27"] = ["search", "--sigma", "27", "--max-len", "2", "--jobs", "1"]
     out["search/max-len-negative"] = ["search", "--sigma", "2", "--max-len", "-1", "--jobs", "1"]
     out["search/past-limit"] = [
