@@ -26,7 +26,6 @@ class TheoremReport(NamedTuple):
     z: int
     t: int  # parts in the extended-domain partition
     passes: bool  # m < 2z
-    slack: int  # 2z - m
 
 
 class ExtdomPartition(NamedTuple):
@@ -62,7 +61,7 @@ def check_theorem(s: bytes) -> TheoremReport:
     m = lf.m
     z = lz_factorize(s).z
     t = len(_dom1_partition(lf))
-    return TheoremReport(m=m, z=z, t=t, passes=m < 2 * z, slack=2 * z - m)
+    return TheoremReport(m=m, z=z, t=t, passes=m < 2 * z)
 
 
 # Longest family string ``generate_family`` builds: about k^3/2 bytes, so k <= 270.
@@ -103,7 +102,6 @@ def generate_family(k: int) -> bytes:
 class FamilyCounts(NamedTuple):
     """Closed-form factorization sizes for family string k (valid for k >= 2)."""
 
-    k: int
     m_k: int
     z_k: int
 
@@ -112,7 +110,7 @@ def expected_counts(k: int) -> FamilyCounts:
     """m_k = k^2/2 + k/2 + 2 and z_k = k^2/2 - k/2 + 4, for k >= 2."""
     if k < 2:
         raise ValueError("formula domain starts at k = 2")
-    return FamilyCounts(k=k, m_k=k * (k + 1) // 2 + 2, z_k=k * (k - 1) // 2 + 4)
+    return FamilyCounts(m_k=k * (k + 1) // 2 + 2, z_k=k * (k - 1) // 2 + 4)
 
 
 def expected_lz_phrases(k: int) -> list[bytes]:
@@ -140,7 +138,6 @@ SEARCH_LIMIT = 10_000_000
 class SearchRecord(NamedTuple):
     """Factorization sizes for one enumerated string."""
 
-    n: int
     string: bytes
     m: int
     z: int
@@ -202,7 +199,7 @@ def _measure(s: bytes, check_lemmas: bool) -> SearchRecord:
     if check_lemmas and not report.passed:
         failed = [c.name for c in report.checks if not c.passed]
         raise IntegrityError(f"lemma checks failed ({failed}) on witness {s!r}")
-    return SearchRecord(n=len(s), string=s, m=m, z=z)
+    return SearchRecord(string=s, m=m, z=z)
 
 
 def iter_search(

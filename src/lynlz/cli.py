@@ -12,6 +12,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 
 from .bounds import (
     SEARCH_LIMIT,
@@ -90,11 +92,35 @@ def _group_dict(g: PGroup) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(indent=2)
+
+
 def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print ``json.dumps(obj, indent=2)`` for a non-empty ``obj``, one value at a time.
+
+    An iterator value (a generator or ``map``) is printed as a JSON list
+    while it is walked, so only one of its items is alive at once.  JSON
+    strings never hold a raw newline, so indenting every line of an encoded
+    value nests it at its depth.
+    """
+    write = sys.stdout.write
+    encode = _ENCODER.encode
+    sep = "{"
+    for key, value in obj.items():
+        write(f"{sep}\n  {encode(key)}: ")
+        sep = ","
+        if not isinstance(value, Iterator):
+            write(encode(value).replace("\n", "\n  "))
+            continue
+        item_sep = "["
+        for item in value:
+            write(item_sep + "\n    " + encode(item).replace("\n", "\n    "))
+            item_sep = ","
+        write("[]" if item_sep == "[" else "\n  ]")
+    write("\n}\n")
 
 
-def _emit_tsv(rows: list[list[object]]) -> None:
+def _emit_tsv(rows: Iterable[list[object]]) -> None:
     for row in rows:
         print("\t".join(str(cell) for cell in row))
 
@@ -179,7 +205,7 @@ def _cmd_domains(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
     layer = _domain_layer(lf)
-    domains = layer.domains()
+    domains = layer.domains()  # a generator, walked once by each format
     tandems = _tandems(layer)
     groups = _groups(lf, tandems)
     if args.format == "json":
@@ -187,20 +213,15 @@ def _cmd_domains(args: argparse.Namespace) -> int:
             {
                 "input_len": len(s),
                 "m": lf.m,
-                "domains": [_domain_dict(dom) for dom in domains],
-                "tandems": [_tandem_dict(td) for td in tandems],
-                "groups": [_group_dict(g) for g in groups],
+                "domains": map(_domain_dict, domains),
+                "tandems": map(_tandem_dict, tandems),
+                "groups": map(_group_dict, groups),
             }
         )
     elif args.format == "tsv":
-        rows: list[list[object]] = []
-        for dom in domains:
-            rows.append(["domain", dom.i, dom.d, dom.j, dom.size, dom.span.start, dom.span.end])
-        for td in tandems:
-            rows.append(["tandem", td.i, td.d, "", "", td.associated.start, td.associated.end])
-        for g in groups:
-            rows.append(["group", g.i, g.d, g.p, "", g.associated.start, g.associated.end])
-        _emit_tsv(rows)
+        _emit_tsv(["domain", dom.i, dom.d, dom.j, dom.size, dom.span.start, dom.span.end] for dom in domains)
+        _emit_tsv(["tandem", td.i, td.d, "", "", td.associated.start, td.associated.end] for td in tandems)
+        _emit_tsv(["group", g.i, g.d, g.p, "", g.associated.start, g.associated.end] for g in groups)
     else:
         print(f"input length {len(s)}, m = {lf.m}")
         for dom in domains:
@@ -228,21 +249,9 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
             sequence.append({"kind": "cluster", "members": [_domain_dict(d) for d in item.members]})
         else:
             sequence.append({"kind": "loose", "domain": _domain_dict(item)})
-    budget_dict = {
-        "k": budget.k,
-        "leftmost_cluster": budget.ell,
-        "d": budget.d,
-        "loose_orders": list(budget.loose_orders),
-        "loose_sizes": list(budget.loose_sizes),
-        "t": budget.t,
-        "cluster_boundaries": budget.S,
-        "loose_boundaries": budget.loose_total,
-        "total": budget.total,
-        "lower_bound": budget.lower_bound,
-    }
     if args.format == "json":
         _emit_json(
-            {"input_len": len(s), "root": _domain_dict(root), "sequence": sequence, "budget": budget_dict}
+            {"input_len": len(s), "root": _domain_dict(root), "sequence": sequence, "budget": budget._asdict()}
         )
     elif args.format == "tsv":
         rows: list[list[object]] = []
@@ -261,7 +270,7 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
             else:
                 print(f"  loose: (i={item.i}, d={item.d}), size {item.size}")
         print(
-            f"budget: 1 + {budget.loose_total} + {budget.S} = {budget.total}"
+            f"budget: 1 + {budget.loose_boundaries} + {budget.cluster_boundaries} = {budget.total}"
             f" >= {budget.lower_bound}"
         )
     return 0
@@ -381,22 +390,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.format == "tsv":
         for rec in iter_search(args.sigma, args.max_len, **sweep):
             print(
-                f"{args.sigma}\t{rec.n}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"
+                f"{args.sigma}\t{len(rec.string)}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"
             )
         return 0
     summaries = exhaustive_search(args.sigma, args.max_len, **sweep)
     total = sum(ls.count for ls in summaries)
-    per_length = [
-        {
-            "n": ls.n,
-            "count": ls.count,
-            "max_diff": ls.max_diff,
-            "max_diff_string": render_bytes(ls.max_diff_string) if ls.max_diff_string else None,
-            "max_ratio": ls.max_ratio,
-            "max_ratio_string": render_bytes(ls.max_ratio_string) if ls.max_ratio_string else None,
-        }
-        for ls in summaries
-    ]
+    per_length = [asdict(ls) for ls in summaries]
+    for entry in per_length:
+        for key in ("max_diff_string", "max_ratio_string"):
+            if entry[key] is not None:
+                entry[key] = render_bytes(entry[key])
     if args.format == "json":
         _emit_json(
             {

@@ -13,7 +13,7 @@ one of those guarantees on a concrete input string.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
@@ -126,19 +126,21 @@ class CanonicalDecomposition(NamedTuple):
 class BoundaryBudget(NamedTuple):
     """Lower-bound accounting for phrase starts inside an extended domain.
 
-    ``S`` counts boundaries contributed by clusters (size - 1 each),
-    ``loose_total`` the ones guaranteed inside loose extended domains, and
-    ``total = 1 + loose_total + S`` must reach ``lower_bound = ceil(k/2) + 1``.
+    ``leftmost_cluster`` is the paper's ℓ, the size of the leftmost cluster.
+    ``cluster_boundaries``, the paper's S, counts boundaries contributed by
+    clusters (size - 1 each), ``loose_boundaries`` the ones guaranteed inside
+    loose extended domains, and ``total = 1 + loose_boundaries + S`` must
+    reach ``lower_bound = ceil(k/2) + 1``.
     """
 
     k: int
-    ell: int  # size of the leftmost cluster
+    leftmost_cluster: int
     d: int
     loose_orders: tuple[int, ...]
     loose_sizes: tuple[int, ...]
     t: int
-    S: int
-    loose_total: int
+    cluster_boundaries: int
+    loose_boundaries: int
     total: int
     lower_bound: int
 
@@ -215,20 +217,20 @@ class DomainLayer:
         """Every non-empty domain, ascending i then d."""
         return [dom for row in self.rows for dom in row]
 
-    def domains(self) -> list[Domain]:
-        """Every valid (i, d) domain, ascending i then d, empty ones included."""
+    def domains(self) -> Iterator[Domain]:
+        """Every valid (i, d) domain, ascending i then d, empty ones included.
+
+        A generator: the empty domains, about m^2 / 2 of them, are made one
+        at a time as the caller walks it.
+        """
         runs = self.lf.runs
         m = self.lf.m
-        out: list[Domain] = []
         for i, row in enumerate(self.rows, 1):
-            out.extend(row)
+            yield from row
             a_start = runs[i - 1].start
             span = Span.empty(a_start)  # one span shared by the run's empty domains
-            out.extend(
-                Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end))
-                for d in range(len(row) + 1, m - i + 2)
-            )
-        return out
+            for d in range(len(row) + 1, m - i + 2):
+                yield Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end))
 
 
 def _domain_layer(lf: LyndonFactorization) -> DomainLayer:
@@ -260,7 +262,7 @@ def _domain_layer(lf: LyndonFactorization) -> DomainLayer:
 
 def all_domains(lf: LyndonFactorization) -> list[Domain]:
     """Every valid (i, d) domain, ascending i then d."""
-    return _domain_layer(lf).domains()
+    return list(_domain_layer(lf).domains())
 
 
 def _tandem_window(lf: LyndonFactorization, inner: Domain) -> Span:
@@ -418,8 +420,8 @@ def boundary_budget(cd: CanonicalDecomposition) -> BoundaryBudget:
     loose_sizes = tuple(sub.size for sub in loose)
     t = len(loose)
     s_clusters = sum(c.size - 1 for c in cd.clusters)
-    loose_total = sum(_ceil_half(kh) + 1 for kh in loose_sizes)
-    total = 1 + loose_total + s_clusters
+    loose_boundaries = sum(_ceil_half(kh) + 1 for kh in loose_sizes)
+    total = 1 + loose_boundaries + s_clusters
     lower = _ceil_half(k) + 1
     if t >= 1:
         if sum(loose_sizes) != k - ell - sum(loose_orders) + d:
@@ -433,13 +435,13 @@ def boundary_budget(cd: CanonicalDecomposition) -> BoundaryBudget:
         raise IntegrityError("budget inconsistency: total below guaranteed bound")
     return BoundaryBudget(
         k=k,
-        ell=ell,
+        leftmost_cluster=ell,
         d=d,
         loose_orders=loose_orders,
         loose_sizes=loose_sizes,
         t=t,
-        S=s_clusters,
-        loose_total=loose_total,
+        cluster_boundaries=s_clusters,
+        loose_boundaries=loose_boundaries,
         total=total,
         lower_bound=lower,
     )

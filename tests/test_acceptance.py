@@ -132,15 +132,15 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_sixteen_run_budget():
     budget = boundary_budget(sixteen_run_decomposition())
     ok = (
-        budget.S == 5
-        and budget.loose_total == 5
+        budget.cluster_boundaries == 5
+        and budget.loose_boundaries == 5
         and budget.total == 11
         and budget.lower_bound == 8
         and budget.total >= budget.lower_bound
         and sum(budget.loose_sizes)
-        == budget.k - budget.ell - sum(budget.loose_orders) + budget.d
-        and budget.S
-        == budget.ell
+        == budget.k - budget.leftmost_cluster - sum(budget.loose_orders) + budget.d
+        and budget.cluster_boundaries
+        == budget.leftmost_cluster
         - 1
         + sum(budget.loose_orders)
         - budget.t

@@ -85,10 +85,10 @@ class TestRecords:
                 "Domain(i=2, d=1, j=1, span=Span(start=1, end=1), associated=Span(start=1, end=1))",
             ),
             (
-                SearchRecord(n=2, string=b"ab", m=1, z=2),
-                "SearchRecord(n=2, string=b'ab', m=1, z=2)",
+                SearchRecord(string=b"ab", m=1, z=2),
+                "SearchRecord(string=b'ab', m=1, z=2)",
             ),
-            (check_theorem(FIGURE_STRING), "TheoremReport(m=5, z=8, t=1, passes=True, slack=11)"),
+            (check_theorem(FIGURE_STRING), "TheoremReport(m=5, z=8, t=1, passes=True)"),
         ],
     )
     def test_value_semantics(self, record, text):
@@ -161,7 +161,7 @@ class TestCheckTheorem:
     def test_family_k2(self):
         report = check_theorem(generate_family(2))
         assert (report.m, report.z) == (5, 5)
-        assert report.passes and report.slack == 5
+        assert report.passes and 2 * report.z - report.m == 5
 
     def test_family_k3(self):
         report = check_theorem(generate_family(3))
@@ -171,7 +171,7 @@ class TestCheckTheorem:
     def test_figure_string(self):
         report = check_theorem(FIGURE_STRING)
         assert (report.m, report.z) == (5, 8)
-        assert report.passes and report.slack == 11
+        assert report.passes and 2 * report.z - report.m == 11
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -364,7 +364,8 @@ class TestSearch:
         assert capsys.readouterr().out == rows
         assert sizes == [3, 3, 2, 3, 3]
         assert rows.splitlines() == [
-            f"2\t{r.n}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}" for r in iter_search(2, 6, jobs=1)
+            f"2\t{len(r.string)}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}"
+            for r in iter_search(2, 6, jobs=1)
         ]
 
     def test_non_positive_jobs_run_in_process(self, monkeypatch, capsys):

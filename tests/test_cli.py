@@ -1,21 +1,41 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import FIGURE_STRING
-from lynlz import IntegrityError, LemmaCheck, LemmaReport, exhaustive_search, generate_family
+from lynlz import (
+    IntegrityError,
+    LemmaCheck,
+    LemmaReport,
+    all_domains,
+    exhaustive_search,
+    find_p_groups,
+    find_tandem_domains,
+    generate_family,
+    lyndon_factorize,
+)
 from lynlz.bounds import _measure
 from lynlz.domains import CHECK_NAMES
-from lynlz.cli import COMMANDS, build_parser, main, render_bytes
+from lynlz.cli import (
+    COMMANDS,
+    _domain_dict,
+    _group_dict,
+    _tandem_dict,
+    build_parser,
+    main,
+    render_bytes,
+)
 from lynlz.lz import ORACLE_LIMIT
 
 FIG_TEXT = FIGURE_STRING.decode()
@@ -129,6 +149,40 @@ class TestDomainsCommand:
             (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1),
         }
         assert all("empty" in d["span"] or d["span"]["start"] <= d["span"]["end"] for d in report["domains"])
+
+    @pytest.mark.parametrize(
+        "text, tandems",
+        [(generate_family(12), 1), (b"ab", 0), (b"", 0)],
+        ids=["family-12", "no-tandems-or-groups", "empty"],
+    )
+    def test_json_streamed_as_whole_document(self, capsys, text, tandems):
+        # The report is written one record at a time; its bytes must be those
+        # of the whole document dumped at once, empty lists included.
+        lf = lyndon_factorize(text)
+        doc = {
+            "input_len": len(text),
+            "m": lf.m,
+            "domains": [_domain_dict(dom) for dom in all_domains(lf)],
+            "tandems": [_tandem_dict(td) for td in find_tandem_domains(lf)],
+            "groups": [_group_dict(g) for g in find_p_groups(lf)],
+        }
+        assert (len(doc["tandems"]), len(doc["groups"])) == (tandems, tandems)
+        code, out = run(capsys, "domains", "--text", text.decode(), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_json_memory_bounded(self):
+        # Family k=8 has 1,225 domains; as one document their dicts took about
+        # 3.1 MB at peak, streamed they take about 0.3 MB.
+        text = generate_family(8).decode()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["domains", "--format", "json", "--text", text]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCanonicalCommand:

@@ -263,9 +263,14 @@ class TestCanonicalDecomposition:
         ]
         assert len(cd.loose) == 1
         budget = boundary_budget(cd)
-        assert (budget.k, budget.ell, budget.d) == (4, 1, 1)
+        assert (budget.k, budget.leftmost_cluster, budget.d) == (4, 1, 1)
         assert budget.loose_orders == (2,) and budget.loose_sizes == (2,)
-        assert (budget.S, budget.loose_total, budget.total, budget.lower_bound) == (0, 2, 3, 3)
+        assert (
+            budget.cluster_boundaries,
+            budget.loose_boundaries,
+            budget.total,
+            budget.lower_bound,
+        ) == (0, 2, 3, 3)
 
     def test_figure_root_single_cluster(self, fig_lf):
         # No loose subdomains: the whole decomposition is one (k+1)-group.
@@ -276,7 +281,7 @@ class TestCanonicalDecomposition:
         assert isinstance(cluster, Cluster)
         assert [(d.i, d.d) for d in cluster.members] == [(2, 4), (3, 3), (4, 2)]
         budget = boundary_budget(cd)
-        assert budget.S == root.size  # k boundaries from the (k+1)-group
+        assert budget.cluster_boundaries == root.size  # k boundaries from the (k+1)-group
         assert budget.total == 1 + root.size >= budget.lower_bound
 
     def test_empty_root_rejected(self, fig_lf):
@@ -305,19 +310,21 @@ class TestCanonicalDecomposition:
 class TestBoundaryBudget:
     def test_sixteen_run_example(self):
         budget = boundary_budget(sixteen_run_decomposition())
-        assert (budget.k, budget.ell, budget.d, budget.t) == (14, 3, 2, 3)
+        assert (budget.k, budget.leftmost_cluster, budget.d, budget.t) == (14, 3, 2, 3)
         assert budget.loose_orders == (2, 3, 5)
         assert budget.loose_sizes == (2, 1, 0)
-        assert budget.S == 5
-        assert budget.loose_total == 5
+        assert budget.cluster_boundaries == 5
+        assert budget.loose_boundaries == 5
         assert budget.total == 11
         assert budget.lower_bound == 8
 
     def test_identities_hold_exactly(self):
         budget = boundary_budget(sixteen_run_decomposition())
-        assert sum(budget.loose_sizes) == budget.k - budget.ell - sum(budget.loose_orders) + budget.d
-        assert budget.S == (
-            budget.ell
+        assert sum(budget.loose_sizes) == (
+            budget.k - budget.leftmost_cluster - sum(budget.loose_orders) + budget.d
+        )
+        assert budget.cluster_boundaries == (
+            budget.leftmost_cluster
             - 1
             + sum(budget.loose_orders)
             - budget.t

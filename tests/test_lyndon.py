@@ -52,6 +52,28 @@ def duval_per_byte(s: bytes) -> tuple[tuple, tuple]:
     return tuple(factors), tuple(runs)
 
 
+def least_suffix_factors(s: bytes) -> list[bytes]:
+    """Second oracle: the Lyndon factors of ``s``, one word per factor.
+
+    By Chen, Fox and Lyndon, the last factor of a Lyndon factorization is
+    the lexicographically least suffix; strip it and repeat.  Suffixes of
+    different lengths are different words, so ``min`` has no ties.  It
+    shares no code with Duval's scan or the backtracking oracle.
+    """
+    factors = []
+    end = len(s)
+    while end:
+        start = min(range(end), key=lambda i: s[i:end])
+        factors.append(s[start:end])
+        end = start
+    return factors[::-1]
+
+
+def expanded_factors(lf) -> list[bytes]:
+    """Each run's Lyndon word, repeated by its exponent."""
+    return [word for word, e in zip(factor_texts(lf), exponents(lf)) for _ in range(e)]
+
+
 @st.composite
 def periodic_strings(draw) -> bytes:
     """``u^r`` plus a prefix of ``u`` and maybe one more letter: long periodic stretches."""
@@ -179,6 +201,30 @@ class TestInvariants:
         fast = lyndon_factorize(s)
         slow = oracle_lyndon_dp(s)
         assert (fast.factors, fast.runs) == (slow.factors, slow.runs)
+
+
+class TestLeastSuffixOracle:
+    """The least-suffix rule against both Duval's scan and the backtracking oracle."""
+
+    def test_hand_cases(self):
+        assert least_suffix_factors(b"") == []
+        assert least_suffix_factors(b"banana") == [b"b", b"an", b"an", b"a"]
+        assert least_suffix_factors(b"aab") == [b"aab"]
+        assert least_suffix_factors(b"aaa") == [b"a", b"a", b"a"]
+
+    def test_against_duval_exhaustive(self):
+        # Every binary string up to length 12 and ternary string up to length 8.
+        for alphabet, max_len in ((b"ab", 12), (b"abc", 8)):
+            for n in range(0, max_len + 1):
+                for tup in product(alphabet, repeat=n):
+                    s = bytes(tup)
+                    assert least_suffix_factors(s) == expanded_factors(lyndon_factorize(s)), s
+
+    def test_against_backtracking_oracle(self):
+        for n in range(0, 11):
+            for tup in product(b"ab", repeat=n):
+                s = bytes(tup)
+                assert least_suffix_factors(s) == expanded_factors(oracle_lyndon_dp(s)), s
 
 
 class TestGallopAgainstPerByteScan:

@@ -1,8 +1,9 @@
 """The names and record fields that the benchmark in ``perfbench/`` relies on.
 
-The benchmark imports the library by name and corrupts its records with
-``dataclasses.replace`` to test its own checks, so a library change that
-renames either would otherwise surface only when the benchmark runs.
+The benchmark imports the library by name, reads its records' fields and
+reports' keys, and corrupts its records with ``dataclasses.replace`` to test
+its own checks, so a library change that renames any of them would otherwise
+surface only when the benchmark runs.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from lynlz import LyndonFactorization, LZFactorization, Span, lyndon_factorize, lz_factorize
@@ -48,3 +53,34 @@ def test_replace_accepts_selftest_fields():
     records = (LZFactorization, LyndonFactorization)
     fields = {f.name for cls in records for f in dataclasses.fields(cls)}
     assert passed and passed <= fields
+
+
+def test_one_op_of_each_workload_passes():
+    # Each workload makes its input, runs one op and checks it, then probes it
+    # with the traced runner's Tracer, in a fresh interpreter set up as the
+    # benchmark sets itself up.  A failure reason names a record field or
+    # report key the benchmark reads that the library no longer provides.
+    # -B keeps perfbench/ free of __pycache__.
+    code = (
+        "import json\n"
+        "from collections import Counter\n"
+        "import run, workloads\n"
+        "reasons = {}\n"
+        "for name, workload in workloads.WORKLOADS.items():\n"
+        "    wl = workload(1)\n"
+        "    x = wl.make_input()\n"
+        "    out = wl.run(x, run.NullTracer())\n"
+        "    tracer = run.Tracer()\n"
+        "    tracer.op = 0\n"
+        "    reasons[name] = wl.check(x, out) or wl.probe(x, out, tracer, Counter())\n"
+        "print(json.dumps(reasons))\n"
+    )
+    src = PERFBENCH.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(PERFBENCH)))}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    reasons = json.loads(proc.stdout)
+    assert sorted(reasons) == ["parse-random", "parse-repetitive", "verify-family"]
+    assert reasons == dict.fromkeys(reasons)
