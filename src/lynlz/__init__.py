@@ -20,6 +20,7 @@ from .domains import (
     CanonicalDecomposition,
     Cluster,
     Domain,
+    DomainLayer,
     LemmaCheck,
     LemmaReport,
     PGroup,
@@ -45,6 +46,7 @@ __all__ = [
     "CanonicalDecomposition",
     "Cluster",
     "Domain",
+    "DomainLayer",
     "ExtdomPartition",
     "FamilyCounts",
     "IntegrityError",

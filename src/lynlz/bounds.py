@@ -150,10 +150,6 @@ class SearchRecord(NamedTuple):
     def ratio(self) -> float:
         return self.m / self.z
 
-    @property
-    def slack(self) -> int:
-        return 2 * self.z - self.m
-
 
 @dataclass
 class LengthSummary:

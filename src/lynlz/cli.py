@@ -27,11 +27,9 @@ from .bounds import (
 from .domains import (
     Cluster,
     Domain,
+    DomainLayer,
     PGroup,
     TandemDomain,
-    _domain_layer,
-    _groups,
-    _tandems,
     boundary_budget,
     canonical_decomposition,
     compute_domain,
@@ -204,10 +202,9 @@ def _cmd_lz(args: argparse.Namespace) -> int:
 def _cmd_domains(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
-    layer = _domain_layer(lf)
+    layer = DomainLayer(lf)
     domains = layer.domains()  # a generator, walked once by each format
-    tandems = _tandems(layer)
-    groups = _groups(lf, tandems)
+    tandems, groups = layer.tandems, layer.groups
     if args.format == "json":
         _emit_json(
             {
@@ -390,7 +387,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.format == "tsv":
         for rec in iter_search(args.sigma, args.max_len, **sweep):
             print(
-                f"{args.sigma}\t{len(rec.string)}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{rec.slack}"
+                f"{args.sigma}\t{len(rec.string)}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{2 * rec.z - rec.m}"
             )
         return 0
     summaries = exhaustive_search(args.sigma, args.max_len, **sweep)

@@ -16,16 +16,12 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize
 from .lz import LZFactorization, lz_factorize
 from .text import Span
-
-
-_start = attrgetter("start")
 
 
 def _ceil_half(x: int) -> int:
@@ -157,7 +153,7 @@ def _empty(lf: LyndonFactorization, i: int, d: int) -> Domain:
 def _anchored(lf: LyndonFactorization, i: int, d: int, q: int, a_end: int) -> Domain:
     """Non-empty domain whose leftmost occurrence starts at q; q must start an earlier run."""
     runs = lf.runs
-    j = bisect_left(runs, q, key=_start) + 1
+    j = bisect_left(runs, (q,)) + 1  # Span(q, e) sorts after (q,) and before (q + 1,)
     if j >= i or runs[j - 1].start != q:
         raise IntegrityError(
             f"leftmost occurrence of runs {i}..{i + d - 1} (position {q}) is not a run start"
@@ -173,9 +169,11 @@ def _anchored(lf: LyndonFactorization, i: int, d: int, q: int, a_end: int) -> Do
 
 
 def compute_domain(lf: LyndonFactorization, i: int, d: int) -> Domain:
-    """Order-d domain of run F_i (1-based i); raises ValueError when i+d-1 > m."""
+    """Order-d domain of run F_i (1-based i); raises ValueError unless i, d >= 1 and i+d-1 <= m."""
     m = lf.m
-    if i < 1 or d < 1 or i + d - 1 > m:
+    if i < 1 or d < 1:
+        raise ValueError(f"run and order must be at least 1: i={i}, d={d}")
+    if i + d - 1 > m:
         raise ValueError(f"order exceeds factorization: i={i}, d={d}, m={m}")
     runs = lf.runs
     a_start = runs[i - 1].start
@@ -187,22 +185,75 @@ def compute_domain(lf: LyndonFactorization, i: int, d: int) -> Domain:
 
 
 class DomainLayer:
-    """The non-empty domains of every run; every other domain is empty.
+    """The domains of a factorization: every run's non-empty ones, its tandems and its groups.
 
     ``rows[i - 1]`` holds the non-empty domains of F_i, orders 1 .. e_i - 1,
     where e_i is F_i's first empty order (m - i + 2 when it has none).
     Domain (i, d) is empty exactly when d >= e_i, so the empty ones are
     derived on demand from (i, d) and the runs, and the layer takes
-    O(m + non-empty domains) memory.  A plain class, not a dataclass: it is
-    built once per command and never compared, and the dataclass machinery
-    would cost every ``import lynlz``.
+    O(m + non-empty domains) memory.  ``tandems`` lists the tandem pairs
+    and ``groups`` the maximal p-groups, both ascending i then d.  A plain
+    class, not a dataclass: it is built once per command and never
+    compared, and the dataclass machinery would cost every ``import lynlz``.
     """
 
-    __slots__ = ("lf", "rows")
+    __slots__ = ("lf", "rows", "tandems", "groups")
 
-    def __init__(self, lf: LyndonFactorization, rows: tuple[tuple[Domain, ...], ...]) -> None:
+    def __init__(self, lf: LyndonFactorization) -> None:
+        """Search the rows, one find per non-empty domain plus one per run, then link them.
+
+        For a fixed i the search for order d + 1 resumes at order d's leftmost
+        occurrence q: an occurrence of F_i..F_{i+d} is also one of its prefix
+        F_i..F_{i+d-1}, so none starts left of q.  The trivial occurrence at
+        F_i's start bounds every order from above, so once q reaches it, at
+        order e_i, every higher order is empty too and the row stops there.
+        """
+        runs = lf.runs
+        text = lf.text
+        m = lf.m
+        rows: list[tuple[Domain, ...]] = []
+        for i in range(1, m + 1):
+            a_start = runs[i - 1].start
+            row: list[Domain] = []
+            q = 1
+            for d in range(1, m - i + 2):
+                a_end = runs[i + d - 2].end
+                q = text.find(text[a_start - 1 : a_end], q - 1) + 1
+                if q == a_start:
+                    break
+                row.append(_anchored(lf, i, d, q, a_end))
+            rows.append(tuple(row))
         self.lf = lf
-        self.rows = rows
+        self.rows = tuple(rows)
+        # Only a non-empty outer half dom_d(F_{i+1}) can link: an empty one
+        # anchors at F_{i+1}, and dom_{d+1}(F_i) anchors at or left of F_i.
+        tandems = [
+            _make_tandem(lf, inner, outer)
+            for i in range(1, m)
+            for outer in rows[i]
+            if (inner := self.domain(i, outer.d + 1)).j == outer.j
+        ]
+        # Tandem (i, d) links dom_{d+1}(F_i) to dom_d(F_{i+1}), two domains
+        # whose run index plus order is i + d + 1.  On the diagonal c = i + d
+        # the outer half of the link at i is therefore the inner half of the
+        # link at i + 1, and a maximal run of tandems at consecutive i is one
+        # group that cannot be extended on either side: the links' inner
+        # halves, then the last link's outer half.
+        by_diagonal: dict[int, list[TandemDomain]] = {}
+        for td in tandems:
+            by_diagonal.setdefault(td.i + td.d, []).append(td)
+        groups: list[PGroup] = []
+        for _, chain in sorted(by_diagonal.items()):  # ascending c, each chain ascending i
+            first = 0
+            for k in range(1, len(chain) + 1):
+                if k == len(chain) or chain[k].i != chain[k - 1].i + 1:
+                    links = chain[first:k]
+                    members = tuple(td.inner for td in links) + (links[-1].outer,)
+                    groups.append(_make_group(lf, members))
+                    first = k
+        groups.sort(key=lambda g: (g.i, g.d))
+        self.tandems = tandems
+        self.groups = groups
 
     def first_empty(self, i: int) -> int:
         """e_i: the lowest order d whose domain of F_i is empty."""
@@ -233,38 +284,6 @@ class DomainLayer:
                 yield Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end))
 
 
-def _domain_layer(lf: LyndonFactorization) -> DomainLayer:
-    """Sparse domain layer of ``lf``: one search per non-empty domain plus one per run.
-
-    For a fixed i the search for order d + 1 resumes at order d's leftmost
-    occurrence q: an occurrence of F_i..F_{i+d} is also one of its prefix
-    F_i..F_{i+d-1}, so none starts left of q.  The trivial occurrence at F_i's
-    start bounds every order from above, so once q reaches it, at order e_i,
-    every higher order is empty too and the row stops there.
-    """
-    runs = lf.runs
-    text = lf.text
-    m = lf.m
-    rows: list[tuple[Domain, ...]] = []
-    for i in range(1, m + 1):
-        a_start = runs[i - 1].start
-        row: list[Domain] = []
-        q = 1
-        for d in range(1, m - i + 2):
-            a_end = runs[i + d - 2].end
-            q = text.find(text[a_start - 1 : a_end], q - 1) + 1
-            if q == a_start:
-                break
-            row.append(_anchored(lf, i, d, q, a_end))
-        rows.append(tuple(row))
-    return DomainLayer(lf, tuple(rows))
-
-
-def all_domains(lf: LyndonFactorization) -> list[Domain]:
-    """Every valid (i, d) domain, ascending i then d."""
-    return list(_domain_layer(lf).domains())
-
-
 def _tandem_window(lf: LyndonFactorization, inner: Domain) -> Span:
     """Associated window of the tandem whose higher-order half is ``inner``."""
     fi_len = lf.runs[inner.i - 1].length
@@ -283,28 +302,6 @@ def _make_tandem(lf: LyndonFactorization, inner: Domain, outer: Domain) -> Tande
     )
 
 
-def _tandems(layer: DomainLayer) -> list[TandemDomain]:
-    """All tandem pairs of the layer, ascending i then d.
-
-    Only a non-empty outer half can link: an empty dom_d(F_{i+1}) anchors at
-    F_{i+1}, and dom_{d+1}(F_i) anchors at or left of F_i.  So the pairs
-    tested are one per non-empty domain.
-    """
-    lf = layer.lf
-    out: list[TandemDomain] = []
-    for i in range(1, lf.m):
-        for outer in layer.rows[i]:  # non-empty domains of F_{i+1}
-            inner = layer.domain(i, outer.d + 1)
-            if inner.j == outer.j:
-                out.append(_make_tandem(lf, inner, outer))
-    return out
-
-
-def find_tandem_domains(lf: LyndonFactorization) -> list[TandemDomain]:
-    """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}), ascending i then d."""
-    return _tandems(_domain_layer(lf))
-
-
 def _make_group(lf: LyndonFactorization, members: tuple[Domain, ...]) -> PGroup:
     i = members[0].i
     p = len(members)
@@ -321,41 +318,19 @@ def _make_group(lf: LyndonFactorization, members: tuple[Domain, ...]) -> PGroup:
     )
 
 
-def _groups(lf: LyndonFactorization, tandems: list[TandemDomain]) -> list[PGroup]:
-    """Maximal p-groups read off the tandem list (ascending i then d).
+def all_domains(lf: LyndonFactorization) -> list[Domain]:
+    """Every valid (i, d) domain, ascending i then d."""
+    return list(DomainLayer(lf).domains())
 
-    Tandem (i, d) links dom_{d+1}(F_i) to dom_d(F_{i+1}), two domains whose
-    run index plus order is i + d + 1.  On the diagonal c = i + d the outer
-    half of the link at i is therefore the inner half of the link at i + 1,
-    and a maximal run of tandems at consecutive i is one group that cannot
-    be extended on either side: the links' inner halves, then the last
-    link's outer half.
-    """
-    by_diagonal: dict[int, list[TandemDomain]] = {}
-    for td in tandems:
-        by_diagonal.setdefault(td.i + td.d, []).append(td)
-    groups: list[PGroup] = []
-    for c in sorted(by_diagonal):
-        chain = by_diagonal[c]  # ascending i
-        first = 0
-        for k in range(1, len(chain) + 1):
-            if k == len(chain) or chain[k].i != chain[k - 1].i + 1:
-                links = chain[first:k]
-                members = tuple(td.inner for td in links) + (links[-1].outer,)
-                groups.append(_make_group(lf, members))
-                first = k
-    groups.sort(key=lambda g: (g.i, g.d))
-    return groups
+
+def find_tandem_domains(lf: LyndonFactorization) -> list[TandemDomain]:
+    """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}), ascending i then d."""
+    return DomainLayer(lf).tandems
 
 
 def find_p_groups(lf: LyndonFactorization) -> list[PGroup]:
-    """Maximal p-groups (p >= 2): maximal chains of tandem pairs.
-
-    Consecutive tandem conditions live on diagonals i + d = const; a maximal
-    run of satisfied conditions along a diagonal yields one group that cannot
-    be extended on either side.
-    """
-    return _groups(lf, find_tandem_domains(lf))
+    """Maximal p-groups (p >= 2): maximal chains of tandem pairs, ascending i then d."""
+    return DomainLayer(lf).groups
 
 
 def canonical_decomposition(lf: LyndonFactorization, dom: Domain) -> CanonicalDecomposition:
@@ -616,7 +591,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             c.record_many(len(oks), bad, "j={} i={}", oks.index(False) + 1 if bad else 0, i)
 
     try:
-        layer = _domain_layer(lf)
+        layer = DomainLayer(lf)
     except IntegrityError as exc:
         checks["window-at-anchor-prefix"].record(False, "{}", exc)
         return LemmaReport(m=m, z=lz.z, checks=tuple(checks.values()))
@@ -665,7 +640,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         tail_failures.append(_empty_window_failures(layer, lz, i))
         c.record_many(m - i + 1 - len(row), tail_failures[-1], "i={} d={}", i, len(row) + 1)
 
-    tandems = _tandems(layer)
+    tandems = layer.tandems
     c = checks["tandem-window-boundary"]
     for td in tandems:
         c.record(lz.boundaries_in(td.associated) >= 1, "i={} d={}", td.i, td.d)
@@ -682,7 +657,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             not ta.associated.overlaps(tb.associated), "({},{}) ({},{})", ta.i, ta.d, tb.i, tb.d
         )
 
-    groups = _groups(lf, tandems)
+    groups = layer.groups
     c = checks["group-shared-extdom"]
     for g in groups:
         shared = extended_domain(g.members[0])

@@ -11,13 +11,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 
 from .text import Span, gallop
 
 ORACLE_LIMIT = 10_000
-
-_start = attrgetter("start")
 
 
 @dataclass(frozen=True)
@@ -34,8 +31,9 @@ class LZFactorization:
 
     def boundaries_in(self, window: Span) -> int:
         """Number of phrase starts inside ``window`` (none in an empty one)."""
-        lo = bisect_left(self.phrases, window.start, key=_start)
-        return bisect_left(self.phrases, window.end + 1, lo, key=_start) - lo
+        # Span(x, e) sorts after (x,) and before (x + 1,), so these bisect by start.
+        lo = bisect_left(self.phrases, (window.start,))
+        return bisect_left(self.phrases, (window.end + 1,), lo) - lo
 
 
 def _from_lengths(s: bytes, lengths: list[int]) -> LZFactorization:

@@ -64,15 +64,16 @@ def sixteen_run_decomposition() -> CanonicalDecomposition:
     return CanonicalDecomposition(root=root, sequence=sequence)
 
 
-COUNTED = ("lyndon_factorize", "lz_factorize", "_domain_layer")
+COUNTED = ("lyndon_factorize", "lz_factorize", "DomainLayer")
 
 
 @pytest.fixture
 def call_counts(monkeypatch) -> Counter:
     """Count Lyndon parses, LZ parses and domain-layer builds.
 
-    Each module that calls one of the three functions gets a counting
-    wrapper, so a call is counted whichever module makes it.
+    Each module that calls one of the three names (two functions and the
+    ``DomainLayer`` class) gets a counting wrapper, so a call is counted
+    whichever module makes it.
     """
     counts: Counter = Counter()
 

@@ -255,7 +255,7 @@ class TestComputeOnce:
         assert (record.m, record.z) == (5, 8)
         assert call_counts["lyndon_factorize"] == 1
         assert call_counts["lz_factorize"] == 1
-        assert call_counts["_domain_layer"] == tables
+        assert call_counts["DomainLayer"] == tables
 
     def test_measure_reports_size_bound_before_lemmas(self, monkeypatch):
         failed = LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=4 z=2")
@@ -287,7 +287,7 @@ class TestSearch:
         assert [r.string for r in records] == [b"a" * n for n in range(1, 6)]
         assert all(r.m == 1 for r in records)
         assert [r.z for r in records] == [1, 2, 3, 3, 4]
-        assert all(r.slack > 0 for r in records)
+        assert all(2 * r.z - r.m > 0 for r in records)
 
     def test_enumeration_order(self):
         strings = [r.string for r in iter_search(2, 2, jobs=1)]
@@ -364,7 +364,7 @@ class TestSearch:
         assert capsys.readouterr().out == rows
         assert sizes == [3, 3, 2, 3, 3]
         assert rows.splitlines() == [
-            f"2\t{len(r.string)}\t{r.string.decode()}\t{r.m}\t{r.z}\t{r.slack}"
+            f"2\t{len(r.string)}\t{r.string.decode()}\t{r.m}\t{r.z}\t{2 * r.z - r.m}"
             for r in iter_search(2, 6, jobs=1)
         ]
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -45,6 +46,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def test_cli_imports_no_private_names():
+    # The command line reads the library through its public names only.
+    tree = ast.parse((SRC / "lynlz" / "cli.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "lynlz")
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 class TestLyndonCommand:
@@ -204,6 +219,10 @@ class TestCanonicalCommand:
     def test_empty_root_is_usage_error(self, capsys):
         code, _ = run(capsys, "canonical", "--text", FIG_TEXT, "--run", "2", "--order", "1")
         assert code == 2
+
+    def test_order_zero_names_its_bound(self, capsys):
+        assert main(["canonical", "--text", FIG_TEXT, "--run", "1", "--order", "0"]) == 2
+        assert capsys.readouterr().err == "error: run and order must be at least 1: i=1, d=0\n"
 
 
 class TestVerifyCommand:
@@ -387,7 +406,7 @@ class TestComputeOnce:
     def test_verify(self, capsys, call_counts):
         code, _ = run(capsys, "verify", "--text", generate_family(5).decode(), "--format", "json")
         assert code == 0
-        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1, "_domain_layer": 1}
+        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1, "DomainLayer": 1}
 
     def test_partition_builds_no_table(self, capsys, call_counts):
         code, _ = run(capsys, "partition", "--text", FIG_TEXT, "--format", "json")
@@ -397,7 +416,7 @@ class TestComputeOnce:
     def test_domains(self, capsys, call_counts):
         code, _ = run(capsys, "domains", "--text", FIG_TEXT, "--format", "json")
         assert code == 0
-        assert call_counts == {"lyndon_factorize": 1, "_domain_layer": 1}
+        assert call_counts == {"lyndon_factorize": 1, "DomainLayer": 1}
 
 
 class TestUsage:

@@ -18,6 +18,7 @@ from dense_reference import dense_groups, dense_table, dense_tandems, dense_veri
 from lynlz import (
     CanonicalDecomposition,
     Cluster,
+    DomainLayer,
     IntegrityError,
     LyndonFactorization,
     LZFactorization,
@@ -36,7 +37,6 @@ from lynlz import (
 )
 from lynlz.domains import (
     LemmaCheck,
-    _domain_layer,
     _empty_window_failures,
     _tiles,
 )
@@ -70,10 +70,20 @@ class TestComputeDomain:
         assert dom.span == Span(7, 17) and dom.j == 2
         assert dom.associated == Span(7, 14)
 
-    @pytest.mark.parametrize("i, d", [(2, 5), (5, 2), (0, 1), (6, 1), (1, 0)])
-    def test_out_of_range(self, fig_lf, i, d):
-        with pytest.raises(ValueError, match="order exceeds factorization"):
+    @pytest.mark.parametrize(
+        "i, d, message",
+        [
+            pytest.param(2, 5, "order exceeds factorization: i=2, d=5, m=5", id="2-5"),
+            pytest.param(5, 2, "order exceeds factorization: i=5, d=2, m=5", id="5-2"),
+            pytest.param(0, 1, "run and order must be at least 1: i=0, d=1", id="0-1"),
+            pytest.param(6, 1, "order exceeds factorization: i=6, d=1, m=5", id="6-1"),
+            pytest.param(1, 0, "run and order must be at least 1: i=1, d=0", id="1-0"),
+        ],
+    )
+    def test_out_of_range(self, fig_lf, i, d, message):
+        with pytest.raises(ValueError) as excinfo:
             compute_domain(fig_lf, i, d)
+        assert str(excinfo.value) == message
 
 
 class TestExtendedDomain:
@@ -155,7 +165,7 @@ class TestAllDomains:
                         for i in range(1, lf.m + 1)
                         for d in range(1, lf.m - i + 2)
                     }
-                    layer = _domain_layer(lf)
+                    layer = DomainLayer(lf)
                     for i, row in enumerate(layer.rows, 1):
                         e = layer.first_empty(i)
                         assert list(row) == [reference[(i, d)] for d in range(1, e)], s
@@ -480,7 +490,7 @@ class TestDenseReference:
 
             monkeypatch.setattr(LZFactorization, "boundaries_in", boundaries_in)
             lf = lyndon_factorize(s)
-            layer = _domain_layer(lf)
+            layer = DomainLayer(lf)
             lz = lz_factorize(s)
             assert any(
                 0 < _empty_window_failures(layer, lz, i) < lf.m - i + 2 - layer.first_empty(i)
