@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from conftest import FIGURE_STRING
+from conftest import FIGURE_STRING, GROUP_BOTTOM_STRING, GROUP_TOP_STRING
 from lynlz import compute_domain, generate_family, lyndon_factorize
 from lynlz.cli import COMMANDS, main
 
@@ -40,6 +40,9 @@ FILE_BYTES = bytes(range(0, 256, 17)) + b"ab\\ba\x7f\r\n"
 
 def _texts() -> dict[str, bytes]:
     texts = {"figure": FIGURE_STRING, "banana": b"banana", "empty": b""}
+    # Groups whose leftmost member is non-empty, and groups up to p = 5.
+    texts["group-top"] = GROUP_TOP_STRING
+    texts["group-bottom"] = GROUP_BOTTOM_STRING
     for k in range(2, 9):
         texts[f"family{k}"] = generate_family(k)
     for seed in range(5):
