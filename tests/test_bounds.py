@@ -118,6 +118,18 @@ class TestImportCost:
         assert proc.stdout == "[]\n"
 
 
+class TestExports:
+    def test_all_names_resolve(self):
+        assert len(set(lynlz.__all__)) == len(lynlz.__all__)
+        missing = [name for name in lynlz.__all__ if not hasattr(lynlz, name)]
+        assert not missing
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from lynlz import *", namespace)
+        assert set(lynlz.__all__) <= namespace.keys()
+
+
 class TestExpectedCounts:
     @pytest.mark.parametrize("k, m_k, z_k", [(2, 5, 5), (3, 8, 7), (10, 57, 49)])
     def test_closed_forms(self, k, m_k, z_k):

@@ -202,12 +202,21 @@ class TestTandemDomains:
         assert found == expected
 
     def test_window_length_equals_first_run(self):
-        for s in (FIGURE_STRING, GROUP_TOP_STRING, generate_family(4)):
+        # From the definition, not from the window formula: a p-member
+        # window is the suffix of members[0]'s window of length
+        # |F_i .. F_{i+p-2}|, which is |F_i| for a tandem (p = 2).
+        for s in _reference_inputs():
             lf = lyndon_factorize(s)
+            runs = lf.runs
             for td in find_tandem_domains(lf):
-                assert td.associated.length == lf.runs[td.i - 1].length
-                assert td.inner.i == td.i and td.outer.i == td.i + 1
-                assert td.inner.d == td.d + 1 and td.outer.d == td.d
+                assert td.associated.length == runs[td.i - 1].length, s
+                assert td.associated.end == td.inner.associated.end, s
+                assert td.inner.i == td.i and td.outer.i == td.i + 1, s
+                assert td.inner.d == td.d + 1 and td.outer.d == td.d, s
+            for g in find_p_groups(lf):
+                assert g.associated.end == g.members[0].associated.end, s
+                length = runs[g.i + g.p - 3].end - runs[g.i - 1].start + 1
+                assert g.associated.length == length, s
 
 
 class TestPGroups:
