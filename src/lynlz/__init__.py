@@ -24,7 +24,6 @@ from .domains import (
     LemmaCheck,
     LemmaReport,
     PGroup,
-    TandemDomain,
     all_domains,
     boundary_budget,
     canonical_decomposition,
@@ -57,7 +56,6 @@ __all__ = [
     "PGroup",
     "SearchRecord",
     "Span",
-    "TandemDomain",
     "TheoremReport",
     "all_domains",
     "boundary_budget",

@@ -29,7 +29,6 @@ from .domains import (
     Domain,
     DomainLayer,
     PGroup,
-    TandemDomain,
     boundary_budget,
     canonical_decomposition,
     compute_domain,
@@ -70,12 +69,13 @@ def _domain_dict(dom: Domain) -> dict:
     }
 
 
-def _tandem_dict(td: TandemDomain) -> dict:
+def _tandem_dict(td: PGroup) -> dict:
+    inner, outer = td.members
     return {
         "i": td.i,
         "d": td.d,
-        "inner": {"i": td.inner.i, "d": td.inner.d},
-        "outer": {"i": td.outer.i, "d": td.outer.d},
+        "inner": {"i": inner.i, "d": inner.d},
+        "outer": {"i": outer.i, "d": outer.d},
         "associated": _span_dict(td.associated),
     }
 

@@ -66,23 +66,17 @@ def _tiles(spans: Iterable[Span], start: int, end: int) -> bool:
     return cursor == end + 1
 
 
-class TandemDomain(NamedTuple):
-    """Pair dom_{d+1}(F_i), dom_d(F_{i+1}) whose extended spans coincide.
-
-    Writing F_i = F_{i+1} .. F_{i+d} x, the leftmost occurrence of
-    F_i .. F_{i+d} factors as F_{i+1}..F_{i+d} x F_{i+1}..F_{i+d};
-    ``associated`` is the suffix occurrence of x F_{i+1}..F_{i+d} there.
-    """
-
-    i: int
-    d: int
-    inner: Domain  # order d+1 domain of F_i
-    outer: Domain  # order d domain of F_{i+1}
-    associated: Span
-
-
 class PGroup(NamedTuple):
-    """p consecutive domains of stepwise decreasing order with one shared extended span."""
+    """p consecutive domains of stepwise decreasing order with one shared extended span.
+
+    A tandem domain is the p = 2 case: the pair dom_{d+1}(F_i), dom_d(F_{i+1})
+    whose extended spans coincide.  Writing F_i = F_{i+1} .. F_{i+d} x, the
+    leftmost occurrence of F_i .. F_{i+d} factors as
+    F_{i+1}..F_{i+d} x F_{i+1}..F_{i+d}, and ``associated`` is the suffix
+    occurrence of x F_{i+1}..F_{i+d} there, |F_i| long.  A group's window is
+    the suffix of ``members[0]``'s window of length |F_i .. F_{i+p-2}|: its
+    member pairs' tandem windows, rightmost pair first.
+    """
 
     i: int
     p: int
@@ -191,10 +185,11 @@ class DomainLayer:
     where e_i is F_i's first empty order (m - i + 2 when it has none).
     Domain (i, d) is empty exactly when d >= e_i, so the empty ones are
     derived on demand from (i, d) and the runs, and the layer takes
-    O(m + non-empty domains) memory.  ``tandems`` lists the tandem pairs
-    and ``groups`` the maximal p-groups, both ascending i then d.  A plain
-    class, not a dataclass: it is built once per command and never
-    compared, and the dataclass machinery would cost every ``import lynlz``.
+    O(m + non-empty domains) memory.  ``tandems`` lists the tandem pairs,
+    each a ``PGroup`` with p = 2, and ``groups`` the maximal p-groups, both
+    ascending i then d.  A plain class, not a dataclass: it is built once
+    per command and never compared, and the dataclass machinery would cost
+    every ``import lynlz``.
     """
 
     __slots__ = ("lf", "rows", "tandems", "groups")
@@ -228,7 +223,7 @@ class DomainLayer:
         # Only a non-empty outer half dom_d(F_{i+1}) can link: an empty one
         # anchors at F_{i+1}, and dom_{d+1}(F_i) anchors at or left of F_i.
         tandems = [
-            _make_tandem(lf, inner, outer)
+            _make_group(lf, (inner, outer))
             for i in range(1, m)
             for outer in rows[i]
             if (inner := self.domain(i, outer.d + 1)).j == outer.j
@@ -239,7 +234,7 @@ class DomainLayer:
         # link at i + 1, and a maximal run of tandems at consecutive i is one
         # group that cannot be extended on either side: the links' inner
         # halves, then the last link's outer half.
-        by_diagonal: dict[int, list[TandemDomain]] = {}
+        by_diagonal: dict[int, list[PGroup]] = {}
         for td in tandems:
             by_diagonal.setdefault(td.i + td.d, []).append(td)
         groups: list[PGroup] = []
@@ -248,7 +243,7 @@ class DomainLayer:
             for k in range(1, len(chain) + 1):
                 if k == len(chain) or chain[k].i != chain[k - 1].i + 1:
                     links = chain[first:k]
-                    members = tuple(td.inner for td in links) + (links[-1].outer,)
+                    members = tuple(td.members[0] for td in links) + (links[-1].members[1],)
                     groups.append(_make_group(lf, members))
                     first = k
         groups.sort(key=lambda g: (g.i, g.d))
@@ -284,24 +279,6 @@ class DomainLayer:
                 yield Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end))
 
 
-def _tandem_window(lf: LyndonFactorization, inner: Domain) -> Span:
-    """Associated window of the tandem whose higher-order half is ``inner``."""
-    fi_len = lf.runs[inner.i - 1].length
-    q = inner.associated.start
-    total = inner.associated.length
-    return Span(q + total - fi_len, q + total - 1)
-
-
-def _make_tandem(lf: LyndonFactorization, inner: Domain, outer: Domain) -> TandemDomain:
-    return TandemDomain(
-        i=inner.i,
-        d=outer.d,
-        inner=inner,
-        outer=outer,
-        associated=_tandem_window(lf, inner),
-    )
-
-
 def _make_group(lf: LyndonFactorization, members: tuple[Domain, ...]) -> PGroup:
     i = members[0].i
     p = len(members)
@@ -323,8 +300,8 @@ def all_domains(lf: LyndonFactorization) -> list[Domain]:
     return list(DomainLayer(lf).domains())
 
 
-def find_tandem_domains(lf: LyndonFactorization) -> list[TandemDomain]:
-    """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}), ascending i then d."""
+def find_tandem_domains(lf: LyndonFactorization) -> list[PGroup]:
+    """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}) as 2-member groups, ascending i then d."""
     return DomainLayer(lf).tandems
 
 
@@ -647,7 +624,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
 
     c = checks["tandem-window-inside-extdom"]
     for td in tandems:
-        c.record(extended_domain(td.inner).contains(td.associated), "i={} d={}", td.i, td.d)
+        c.record(extended_domain(td.members[0]).contains(td.associated), "i={} d={}", td.i, td.d)
 
     c = checks["disjoint-tandem-no-overlap"]
     for ta, tb in combinations(tandems, 2):
@@ -666,8 +643,8 @@ def verify_lemmas(s: bytes) -> LemmaReport:
 
     c = checks["group-window-concatenation"]
     for g in groups:
-        # reverse order of member tandems, each named by its inner half
-        windows = (_tandem_window(lf, inner) for inner in reversed(g.members[:-1]))
+        # the member pairs' tandem windows, rightmost pair first
+        windows = (_make_group(lf, g.members[k : k + 2]).associated for k in range(g.p - 2, -1, -1))
         ok = _tiles(windows, g.associated.start, g.associated.end)
         c.record(ok, "i={} p={} d={}", g.i, g.p, g.d)
 
@@ -688,7 +665,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c = checks["tandem-inside-domain-no-overlap"]
     for dom in nonempty:
         for td in tandems:
-            if _within(td.inner, dom) and _within(td.outer, dom):
+            if _within(td.members[0], dom) and _within(td.members[1], dom):
                 c.record(
                     not td.associated.overlaps(dom.associated),
                     "dom=({},{}) tandem=({},{})",

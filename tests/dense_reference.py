@@ -17,14 +17,11 @@ from lynlz.domains import (
     LemmaCheck,
     LemmaReport,
     PGroup,
-    TandemDomain,
     _anchored,
     _ceil_half,
     _decompose,
     _dom1_partition,
     _make_group,
-    _make_tandem,
-    _tandem_window,
     boundary_budget,
     extended_domain,
 )
@@ -64,18 +61,16 @@ def dense_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
     return table
 
 
-def dense_tandems(
-    lf: LyndonFactorization, table: dict[tuple[int, int], Domain]
-) -> list[TandemDomain]:
+def dense_tandems(lf: LyndonFactorization, table: dict[tuple[int, int], Domain]) -> list[PGroup]:
     """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}), ascending i then d, tested pair by pair."""
-    out: list[TandemDomain] = []
+    out: list[PGroup] = []
     m = lf.m
     for i in range(1, m):
         for d in range(1, m - i + 1):
             inner = table[(i, d + 1)]
             outer = table[(i + 1, d)]
             if inner.j == outer.j:
-                out.append(_make_tandem(lf, inner, outer))
+                out.append(_make_group(lf, (inner, outer)))
     return out
 
 
@@ -183,7 +178,7 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
 
     c = checks["tandem-window-inside-extdom"]
     for td in tandems:
-        c.record(extended_domain(td.inner).contains(td.associated), "i={} d={}", td.i, td.d)
+        c.record(extended_domain(td.members[0]).contains(td.associated), "i={} d={}", td.i, td.d)
 
     c = checks["disjoint-tandem-no-overlap"]
     for a in range(len(tandems)):
@@ -208,7 +203,7 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
         cursor = g.associated.start
         ok = True
         for idx in range(g.p - 2, -1, -1):  # reverse order of member tandems
-            window = _tandem_window(lf, g.members[idx])
+            window = _make_group(lf, g.members[idx : idx + 2]).associated
             if window.start != cursor:
                 ok = False
                 break

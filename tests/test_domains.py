@@ -22,6 +22,7 @@ from lynlz import (
     IntegrityError,
     LyndonFactorization,
     LZFactorization,
+    PGroup,
     Span,
     all_domains,
     boundary_budget,
@@ -187,6 +188,12 @@ class TestTandemDomains:
     def test_no_tandems_for_single_run(self):
         assert find_tandem_domains(lyndon_factorize(b"ab")) == []
 
+    def test_tandems_are_two_member_groups(self):
+        lf = lyndon_factorize(GROUP_BOTTOM_STRING)
+        tandems = find_tandem_domains(lf)
+        assert len(tandems) == 10 and tandems == DomainLayer(lf).tandems
+        assert all(type(td) is PGroup and td.p == len(td.members) == 2 for td in tandems)
+
     @pytest.mark.parametrize("s", [generate_family(3), GROUP_TOP_STRING, FIGURE_STRING])
     def test_matches_defining_equality(self, s):
         # Brute force: a pair is a tandem exactly when the extended spans agree.
@@ -208,12 +215,13 @@ class TestTandemDomains:
         for s in _reference_inputs():
             lf = lyndon_factorize(s)
             runs = lf.runs
-            for td in find_tandem_domains(lf):
+            tandems = find_tandem_domains(lf)
+            for td in tandems:
+                inner, outer = td.members
                 assert td.associated.length == runs[td.i - 1].length, s
-                assert td.associated.end == td.inner.associated.end, s
-                assert td.inner.i == td.i and td.outer.i == td.i + 1, s
-                assert td.inner.d == td.d + 1 and td.outer.d == td.d, s
-            for g in find_p_groups(lf):
+                assert inner.i == td.i and outer.i == td.i + 1, s
+                assert inner.d == td.d + 1 and outer.d == td.d, s
+            for g in (*tandems, *find_p_groups(lf)):
                 assert g.associated.end == g.members[0].associated.end, s
                 length = runs[g.i + g.p - 3].end - runs[g.i - 1].start + 1
                 assert g.associated.length == length, s
