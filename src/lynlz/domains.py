@@ -513,12 +513,30 @@ def _within(half: Domain, dom: Domain) -> bool:
     return dom.j <= half.i < dom.i and half.i + half.d <= dom.i + dom.d
 
 
+def _check_window_rules(
+    groups: list[PGroup], lz: LZFactorization, window: LemmaCheck, disjoint: LemmaCheck,
+    one: str, pair: str,
+) -> None:
+    """The window rules of p-groups, whose p = 2 case is a tandem.
+
+    A group's window holds at least p - 1 phrase starts, and two groups that
+    share no run have windows that do not overlap.  ``one`` and ``pair``
+    format the witness of one group and of two groups.
+    """
+    for g in groups:
+        window.record(lz.boundaries_in(g.associated) >= g.p - 1, one, g)
+    for a, b in combinations(groups, 2):
+        if a.i + a.p - 1 < b.i or b.i + b.p - 1 < a.i:  # share no run; p = 2: |a.i - b.i| > 1
+            disjoint.record(not a.associated.overlaps(b.associated), pair, a, b)
+
+
 def verify_lemmas(s: bytes) -> LemmaReport:
     """Run the whole battery of structural checks for ``s``.
 
     Every check is a proven consequence of the two factorizations'
     definitions, so a failure indicates a defect in this library, never a
-    property of the input.
+    property of the input.  The tandem window rules are the p-group rules at
+    p = 2 (``_check_window_rules``).
 
     The checks read the sparse domain layer.  Where a check ranges over
     empty domains, their instances are counted rather than visited; the
@@ -617,24 +635,20 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         tail_failures.append(_empty_window_failures(layer, lz, i))
         c.record_many(m - i + 1 - len(row), tail_failures[-1], "i={} d={}", i, len(row) + 1)
 
-    tandems = layer.tandems
-    c = checks["tandem-window-boundary"]
-    for td in tandems:
-        c.record(lz.boundaries_in(td.associated) >= 1, "i={} d={}", td.i, td.d)
+    tandems, groups = layer.tandems, layer.groups
+    _check_window_rules(
+        tandems, lz, checks["tandem-window-boundary"], checks["disjoint-tandem-no-overlap"],
+        "i={0.i} d={0.d}", "({0.i},{0.d}) ({1.i},{1.d})",
+    )
+    _check_window_rules(
+        groups, lz, checks["group-window-boundaries"], checks["disjoint-group-no-overlap"],
+        "i={0.i} p={0.p} d={0.d}", "({0.i},{0.p},{0.d}) ({1.i},{1.p},{1.d})",
+    )
 
     c = checks["tandem-window-inside-extdom"]
     for td in tandems:
         c.record(extended_domain(td.members[0]).contains(td.associated), "i={} d={}", td.i, td.d)
 
-    c = checks["disjoint-tandem-no-overlap"]
-    for ta, tb in combinations(tandems, 2):
-        if abs(tb.i - ta.i) <= 1:
-            continue  # sharing a run: not disjoint
-        c.record(
-            not ta.associated.overlaps(tb.associated), "({},{}) ({},{})", ta.i, ta.d, tb.i, tb.d
-        )
-
-    groups = layer.groups
     c = checks["group-shared-extdom"]
     for g in groups:
         shared = extended_domain(g.members[0])
@@ -648,29 +662,12 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         ok = _tiles(windows, g.associated.start, g.associated.end)
         c.record(ok, "i={} p={} d={}", g.i, g.p, g.d)
 
-    c = checks["group-window-boundaries"]
-    for g in groups:
-        c.record(lz.boundaries_in(g.associated) >= g.p - 1, "i={} p={} d={}", g.i, g.p, g.d)
-
-    c = checks["disjoint-group-no-overlap"]
-    for ga, gb in combinations(groups, 2):
-        if ga.i + ga.p - 1 >= gb.i and gb.i + gb.p - 1 >= ga.i:
-            continue  # share a run: not disjoint
-        c.record(
-            not ga.associated.overlaps(gb.associated),
-            "({},{},{}) ({},{},{})",
-            ga.i, ga.p, ga.d, gb.i, gb.p, gb.d,
-        )
-
     c = checks["tandem-inside-domain-no-overlap"]
     for dom in nonempty:
         for td in tandems:
             if _within(td.members[0], dom) and _within(td.members[1], dom):
-                c.record(
-                    not td.associated.overlaps(dom.associated),
-                    "dom=({},{}) tandem=({},{})",
-                    dom.i, dom.d, td.i, td.d,
-                )
+                ok = not td.associated.overlaps(dom.associated)
+                c.record(ok, "dom=({0.i},{0.d}) tandem=({1.i},{1.d})", dom, td)
 
     c = checks["domain-laminarity"]
     stack: list[Span] = []

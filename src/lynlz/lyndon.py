@@ -8,15 +8,15 @@ public API are 1-based throughout.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import IntegrityError
 from .text import Span, gallop, is_lyndon
 
-# Longest input the backtracking oracle accepts: it recurses once per factor,
-# and 512 levels stay well inside Python's default recursion limit (and take
-# well under a second).
+# Longest input the backtracking oracle accepts: its search is exponential in
+# principle, and inputs up to 512 bytes take well under a second.
 ORACLE_LIMIT = 512
 
 # Match length into the period at which Duval's scan switches from byte
@@ -104,30 +104,31 @@ def oracle_lyndon_dp(s: bytes) -> LyndonFactorization:
     if n > ORACLE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_LIMIT} symbols, got {n}")
 
-    solutions: list[list[tuple[int, bytes]]] = []
-    chosen: list[tuple[int, bytes]] = []
-
-    def extend(pos: int, prev: bytes | None) -> None:
-        if pos == n:
-            solutions.append(list(chosen))
-            return
+    def pieces(pos: int, prev: bytes | None) -> Iterator[bytes]:
+        """The Lyndon pieces of ``s`` starting at ``pos`` that are at most ``prev``."""
         for end in range(pos + 1, n + 1):
             piece = s[pos:end]
             if prev is not None and piece > prev:
                 # Every longer piece from pos has this one as a proper prefix,
                 # so it is larger still and > prev: no solution is skipped.
                 break
-            if not is_lyndon(piece):
-                continue
-            chosen.append((pos, piece))
-            extend(end, piece)
-            chosen.pop()
+            if is_lyndon(piece):
+                yield piece
 
-    extend(0, None)
+    solutions: list[list[tuple[int, bytes]]] = []
+    stack = [(0, pieces(0, None))]  # per depth: its position and its untried pieces
+    while stack:
+        pos, untried = stack[-1]
+        if pos == n:  # the positions on the stack cut s into one factorization
+            cuts = [cut for cut, _ in stack]
+            solutions.append([(a, s[a:b]) for a, b in zip(cuts, cuts[1:])])
+        piece = next(untried, None)  # none at pos == n
+        if piece is None:
+            stack.pop()
+        else:
+            stack.append((pos + len(piece), pieces(pos + len(piece), piece)))
     if len(solutions) != 1:
-        raise IntegrityError(
-            f"uniqueness violated: {len(solutions)} factorizations for {s!r}"
-        )
+        raise IntegrityError(f"uniqueness violated: {len(solutions)} factorizations for {s!r}")
     # Consecutive equal factors form one run; the key is the factor's bytes,
     # so equal-length different factors (``abb``, ``aab``) stay apart.
     factors: list[tuple[Span, int]] = []

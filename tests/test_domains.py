@@ -466,6 +466,16 @@ def _reference_inputs():
         yield generate_family(k)
 
 
+# Has 2 instances each of the two disjoint-pair checks and 6 of the
+# tandem-inside-domain check, so a fault can reach all three failure paths.
+DISJOINT_PAIRS_STRING = b"abbabaababaaba"
+OVERLAP_CHECKS = (
+    "disjoint-tandem-no-overlap",
+    "disjoint-group-no-overlap",
+    "tandem-inside-domain-no-overlap",
+)
+
+
 def _verdicts(report):
     return (
         report.m,
@@ -490,8 +500,12 @@ class TestDenseReference:
             assert find_tandem_domains(lf) == dense_tandems(lf, table), s
             assert find_p_groups(lf) == dense_groups(lf, table), s
 
-    @pytest.mark.parametrize("s", [generate_family(6), generate_family(12), FIGURE_STRING])
-    @pytest.mark.parametrize("fault", ["windows-end-late", "no-boundaries", "contains-only-empty"])
+    @pytest.mark.parametrize(
+        "s", [generate_family(6), generate_family(12), FIGURE_STRING, DISJOINT_PAIRS_STRING]
+    )
+    @pytest.mark.parametrize(
+        "fault", ["windows-end-late", "no-boundaries", "contains-only-empty", "spans-overlap"]
+    )
     def test_reductions_under_injected_faults(self, monkeypatch, s, fault):
         # Counted instances are exact only if failures are found where they
         # are: break the predicates the reductions rely on and compare the
@@ -515,11 +529,21 @@ class TestDenseReference:
             )
         elif fault == "no-boundaries":
             monkeypatch.setattr(LZFactorization, "boundaries_in", lambda self, window: 0)
-        else:
+        elif fault == "contains-only-empty":
             monkeypatch.setattr(Span, "contains", lambda self, other: other.is_empty)
+        else:
+            monkeypatch.setattr(Span, "overlaps", lambda self, other: True)
         sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
         assert not dense.passed
         assert _verdicts(sparse) == _verdicts(dense)
+        if fault == "spans-overlap":
+            # Every instance of the non-overlap checks fails; of these inputs,
+            # only DISJOINT_PAIRS_STRING has disjoint tandems and groups.
+            counts = [(c.instances, c.failures) for c in dense.checks if c.name in OVERLAP_CHECKS]
+            assert len(counts) == len(OVERLAP_CHECKS)
+            assert all(failures == instances for instances, failures in counts)
+            if s == DISJOINT_PAIRS_STRING:
+                assert all(instances for instances, _ in counts)
 
     @pytest.mark.parametrize(
         "s, runs, factors",

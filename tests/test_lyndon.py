@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 import pytest
@@ -111,6 +112,17 @@ class TestOracle:
         message = f"^oracle limited to {ORACLE_LIMIT} symbols, got {ORACLE_LIMIT + 1}$"
         with pytest.raises(ValueError, match=message):
             oracle_lyndon_dp(s + b"a")
+
+    def test_depth_not_bound_by_recursion_limit(self):
+        # b^512 has 512 factors, so a recursive search would nest 512 calls.
+        s = b"b" * ORACLE_LIMIT
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            lf = oracle_lyndon_dp(s)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert lf.factors == ((Span(1, 1), ORACLE_LIMIT),)
 
 
 class TestLyndonFactorize:

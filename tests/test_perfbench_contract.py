@@ -18,8 +18,10 @@ import sys
 from pathlib import Path
 
 from lynlz import LyndonFactorization, LZFactorization, Span, lyndon_factorize, lz_factorize
+from lynlz.domains import CHECK_NAMES
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARK = PERFBENCH.parent / "BENCHMARK.json"
 
 
 def test_imported_names_exist():
@@ -33,6 +35,14 @@ def test_imported_names_exist():
         entry for entry in imported if not hasattr(importlib.import_module(entry[1]), entry[2])
     ]
     assert missing == []
+
+
+def test_check_metrics_name_every_check():
+    # The benchmark reads a missing count as 0, so a renamed check would
+    # silently zero its per-layer metric instead of failing.
+    spec = json.loads(BENCHMARK.read_text())
+    names = {m["name"] for m in spec["per_layer"] if m["name"].startswith("domains.check.")}
+    assert names == {f"domains.check.{n}.instances" for n in CHECK_NAMES}
 
 
 def test_replace_accepts_selftest_fields():
