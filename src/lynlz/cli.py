@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto the library: ``lyndon``, ``lz``, ``domains``,
 ``canonical``, ``verify``, ``family``, ``search`` and ``partition``.  Exit
-codes: 0 success / all checks pass, 1 a verification check failed (witness on
-stderr), 2 usage or input error.
+codes: 0 success / all checks pass, 1 a check failed (witness on stdout) or a
+``defect:`` line on stderr, 2 usage or input error (``error:`` on stderr).
 """
 
 from __future__ import annotations

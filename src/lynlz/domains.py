@@ -74,7 +74,8 @@ class PGroup(NamedTuple):
     leftmost occurrence of F_i .. F_{i+d} factors as
     F_{i+1}..F_{i+d} x F_{i+1}..F_{i+d}, and ``associated`` is the suffix
     occurrence of x F_{i+1}..F_{i+d} there, |F_i| long.  A group's window is
-    the suffix of ``members[0]``'s window of length |F_i .. F_{i+p-2}|: its
+    ``members[0]``'s window less the last member's runs F_{i+p-1} ..
+    F_{i+p+d-2} at its front: a suffix |F_i .. F_{i+p-2}| long, made of its
     member pairs' tandem windows, rightmost pair first.
     """
 
@@ -223,29 +224,27 @@ class DomainLayer:
         # Only a non-empty outer half dom_d(F_{i+1}) can link: an empty one
         # anchors at F_{i+1}, and dom_{d+1}(F_i) anchors at or left of F_i.
         tandems = [
-            _make_group(lf, (inner, outer))
+            _make_group((inner, outer))
             for i in range(1, m)
             for outer in rows[i]
             if (inner := self.domain(i, outer.d + 1)).j == outer.j
         ]
-        # Tandem (i, d) links dom_{d+1}(F_i) to dom_d(F_{i+1}), two domains
-        # whose run index plus order is i + d + 1.  On the diagonal c = i + d
-        # the outer half of the link at i is therefore the inner half of the
-        # link at i + 1, and a maximal run of tandems at consecutive i is one
-        # group that cannot be extended on either side: the links' inner
-        # halves, then the last link's outer half.
-        by_diagonal: dict[int, list[PGroup]] = {}
-        for td in tandems:
-            by_diagonal.setdefault(td.i + td.d, []).append(td)
+        # Tandem (i, d) links dom_{d+1}(F_i) to dom_d(F_{i+1}), and tandem
+        # (i + 1, d - 1) links dom_d(F_{i+1}) onwards, so a maximal group is
+        # a chain walked from its first link, the one with no predecessor
+        # (i - 1, d + 1): each link's inner half, then the last link's outer
+        # half.
+        links = {(td.i, td.d): td for td in tandems}
         groups: list[PGroup] = []
-        for _, chain in sorted(by_diagonal.items()):  # ascending c, each chain ascending i
-            first = 0
-            for k in range(1, len(chain) + 1):
-                if k == len(chain) or chain[k].i != chain[k - 1].i + 1:
-                    links = chain[first:k]
-                    members = tuple(td.members[0] for td in links) + (links[-1].members[1],)
-                    groups.append(_make_group(lf, members))
-                    first = k
+        for first in tandems:
+            if (first.i - 1, first.d + 1) in links:
+                continue
+            link, members = first, [first.members[0]]
+            while (link.i + 1, link.d - 1) in links:
+                link = links[(link.i + 1, link.d - 1)]
+                members.append(link.members[0])
+            members.append(link.members[1])
+            groups.append(_make_group(tuple(members)))
         groups.sort(key=lambda g: (g.i, g.d))
         self.tandems = tandems
         self.groups = groups
@@ -279,19 +278,15 @@ class DomainLayer:
                 yield Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end))
 
 
-def _make_group(lf: LyndonFactorization, members: tuple[Domain, ...]) -> PGroup:
-    i = members[0].i
-    p = len(members)
-    d = members[-1].d
-    runs = lf.runs
-    first = members[0].associated
-    prefix_len = runs[i + p + d - 3].end - runs[i + p - 2].start + 1
+def _make_group(members: tuple[Domain, ...]) -> PGroup:
+    """The group of ``members``: its window is the first member's window less the last one's runs."""
+    first, last = members[0].associated, members[-1].associated
     return PGroup(
-        i=i,
-        p=p,
-        d=d,
+        i=members[0].i,
+        p=len(members),
+        d=members[-1].d,
         members=members,
-        associated=Span(first.start + prefix_len, first.start + first.length - 1),
+        associated=Span(first.start + last.length, first.end),
     )
 
 
@@ -658,7 +653,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c = checks["group-window-concatenation"]
     for g in groups:
         # the member pairs' tandem windows, rightmost pair first
-        windows = (_make_group(lf, g.members[k : k + 2]).associated for k in range(g.p - 2, -1, -1))
+        windows = (_make_group(g.members[k : k + 2]).associated for k in range(g.p - 2, -1, -1))
         ok = _tiles(windows, g.associated.start, g.associated.end)
         c.record(ok, "i={} p={} d={}", g.i, g.p, g.d)
 

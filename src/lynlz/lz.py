@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .text import Span, gallop
 
@@ -34,13 +33,6 @@ class LZFactorization:
         # Span(x, e) sorts after (x,) and before (x + 1,), so these bisect by start.
         lo = bisect_left(self.phrases, (window.start,))
         return bisect_left(self.phrases, (window.end + 1,), lo) - lo
-
-
-def _from_lengths(s: bytes, lengths: list[int]) -> LZFactorization:
-    starts = accumulate(lengths, initial=1)
-    return LZFactorization(
-        text=s, phrases=tuple(Span(p, p + n - 1) for p, n in zip(starts, lengths))
-    )
 
 
 def lz_factorize(s: bytes) -> LZFactorization:
@@ -70,12 +62,12 @@ def lz_factorize(s: bytes) -> LZFactorization:
     probe rules out.
     """
     n = len(s)
-    lengths: list[int] = []
+    phrases: list[Span] = []
     b = 0  # 0-based phrase start
     while b < n:
         q = s.find(s[b : b + 1], 0, b)
         if q < 0:
-            lengths.append(1)  # leftmost occurrence of a fresh letter
+            phrases.append(Span(b + 1, b + 1))  # leftmost occurrence of a fresh letter
             b += 1
             continue
         lo = 1 + gallop(s, q + 1, b + 1, min(b - q, n - b) - 1)
@@ -88,9 +80,9 @@ def lz_factorize(s: bytes) -> LZFactorization:
             else:
                 q = r
                 lo = mid + gallop(s, q + mid, b + mid, min(b - q, n - b) - mid)
-        lengths.append(lo)
+        phrases.append(Span(b + 1, b + lo))
         b += lo
-    return _from_lengths(s, lengths)
+    return LZFactorization(text=s, phrases=tuple(phrases))
 
 
 def oracle_lz_naive(s: bytes) -> LZFactorization:
@@ -103,18 +95,18 @@ def oracle_lz_naive(s: bytes) -> LZFactorization:
     n = len(s)
     if n > ORACLE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_LIMIT} symbols, got {n}")
-    lengths: list[int] = []
+    phrases: list[Span] = []
     b = 0
     while b < n:
         parsed = s[:b]
         if s[b : b + 1] not in parsed:
-            lengths.append(1)
+            phrases.append(Span(b + 1, b + 1))
             b += 1
             continue
         length = 1
         while b + length < n and s[b : b + length + 1] in parsed:
             length += 1
-        lengths.append(length)
+        phrases.append(Span(b + 1, b + length))
         b += length
-    return _from_lengths(s, lengths)
+    return LZFactorization(text=s, phrases=tuple(phrases))
 

@@ -21,7 +21,6 @@ from lynlz.domains import (
     _ceil_half,
     _decompose,
     _dom1_partition,
-    _make_group,
     boundary_budget,
     extended_domain,
 )
@@ -61,6 +60,28 @@ def dense_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
     return table
 
 
+def _dense_group(lf: LyndonFactorization, members: tuple[Domain, ...]) -> PGroup:
+    """The group of ``members``, its window counted from the run spans.
+
+    The window is the suffix of ``members[0]``'s window past its first
+    |F_{i+p-1} .. F_{i+p+d-2}| bytes, a length read off the run spans rather
+    than off the last member's window.
+    """
+    i = members[0].i
+    p = len(members)
+    d = members[-1].d
+    runs = lf.runs
+    first = members[0].associated
+    prefix_len = runs[i + p + d - 3].end - runs[i + p - 2].start + 1
+    return PGroup(
+        i=i,
+        p=p,
+        d=d,
+        members=members,
+        associated=Span(first.start + prefix_len, first.start + first.length - 1),
+    )
+
+
 def dense_tandems(lf: LyndonFactorization, table: dict[tuple[int, int], Domain]) -> list[PGroup]:
     """All tandem pairs dom_{d+1}(F_i), dom_d(F_{i+1}), ascending i then d, tested pair by pair."""
     out: list[PGroup] = []
@@ -70,7 +91,7 @@ def dense_tandems(lf: LyndonFactorization, table: dict[tuple[int, int], Domain])
             inner = table[(i, d + 1)]
             outer = table[(i + 1, d)]
             if inner.j == outer.j:
-                out.append(_make_group(lf, (inner, outer)))
+                out.append(_dense_group(lf, (inner, outer)))
     return out
 
 
@@ -95,7 +116,7 @@ def dense_groups(lf: LyndonFactorization, table: dict[tuple[int, int], Domain]) 
                 run_start = i
             elif not linked and run_start is not None:
                 members = tuple(table[(t, c - t + 1)] for t in range(run_start, i + 1))
-                groups.append(_make_group(lf, members))
+                groups.append(_dense_group(lf, members))
                 run_start = None
     groups.sort(key=lambda g: (g.i, g.d))
     return groups
@@ -203,7 +224,7 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
         cursor = g.associated.start
         ok = True
         for idx in range(g.p - 2, -1, -1):  # reverse order of member tandems
-            window = _make_group(lf, g.members[idx : idx + 2]).associated
+            window = _dense_group(lf, g.members[idx : idx + 2]).associated
             if window.start != cursor:
                 ok = False
                 break

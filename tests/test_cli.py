@@ -277,9 +277,12 @@ class TestVerifyCommand:
             checks=(LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=1 z=1"),),
         )
         monkeypatch.setattr("lynlz.cli.verify_lemmas", lambda s: failing)
-        code, out = run(capsys, "verify", "--text", "x")
+        code = main(["verify", "--text", "x"])
+        captured = capsys.readouterr()
         assert code == 1
-        assert "FAIL size-bound" in out
+        # The witness goes to stdout; only defect: and error: lines use stderr.
+        assert "  FAIL size-bound (1 instances)  [m=1 z=1]\n" in captured.out
+        assert captured.err == ""
 
 
 class TestFamilyCommand:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -456,14 +458,23 @@ class TestLemmaCheck:
         assert (c.instances, c.failures, c.counterexample) == (13, 7, "i=2 d=4")
 
 
+# The Zimin word Z_5: four maximal groups tie on (i, d) = (1, 1).
+ZIMIN_5 = b"abacabadabacabaeabacabadabacaba"
+
+
 def _reference_inputs():
-    """Every binary string up to length 12, every ternary one up to 7, family k = 2..24."""
+    """Every binary string up to length 12, every ternary one up to 7, family k = 2..24.
+
+    Then the inputs with deep groups: a non-empty first member in
+    GROUP_TOP_STRING, and groups up to p = 5 in GROUP_BOTTOM_STRING and Z_5.
+    """
     for alphabet, max_len in ((b"ab", 12), (b"abc", 7)):
         for n in range(1, max_len + 1):
             for tup in product(alphabet, repeat=n):
                 yield bytes(tup)
     for k in range(2, 25):
         yield generate_family(k)
+    yield from (GROUP_TOP_STRING, GROUP_BOTTOM_STRING, ZIMIN_5)
 
 
 # Has 2 instances each of the two disjoint-pair checks and 6 of the
@@ -493,6 +504,18 @@ class TestDenseReference:
         for s in _reference_inputs():
             assert verify_lemmas(s) == dense_verify_lemmas(s), s
 
+    def test_reference_keeps_its_own_group_window(self):
+        # A reference that built groups with the library's _make_group
+        # could not catch a fault in the window rule.
+        nodes = list(ast.walk(ast.parse(Path(dense_reference.__file__).read_text())))
+        imported = {
+            alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        used = {node.id for node in nodes if isinstance(node, ast.Name)}
+        used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        assert "_decompose" in imported and "_dense_group" in used
+        assert "_make_group" not in imported | used
+
     def test_tandems_and_groups_match_dense_reference(self):
         for s in _reference_inputs():
             lf = lyndon_factorize(s)
@@ -501,7 +524,15 @@ class TestDenseReference:
             assert find_p_groups(lf) == dense_groups(lf, table), s
 
     @pytest.mark.parametrize(
-        "s", [generate_family(6), generate_family(12), FIGURE_STRING, DISJOINT_PAIRS_STRING]
+        "s",
+        [
+            generate_family(6),
+            generate_family(12),
+            FIGURE_STRING,
+            DISJOINT_PAIRS_STRING,
+            GROUP_TOP_STRING,
+            ZIMIN_5,
+        ],
     )
     @pytest.mark.parametrize(
         "fault", ["windows-end-late", "no-boundaries", "contains-only-empty", "spans-overlap"]
