@@ -73,6 +73,7 @@ def cases(input_file: str) -> dict[str, list[str]]:
     out["canonical/empty-root"] = [
         "canonical", "--text", FIGURE_STRING.decode(), "--run", "2", "--order", "1"
     ]
+    out["canonical/run-past-m"] = ["canonical", "--text", "ab", "--run", "3", "--order", "1"]
     for k in range(-1, 13):
         for check in ((), ("--check",)):
             for fmt in FORMATS:
