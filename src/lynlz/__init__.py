@@ -18,7 +18,6 @@ from .bounds import (
 from .domains import (
     BoundaryBudget,
     CanonicalDecomposition,
-    Cluster,
     Domain,
     DomainLayer,
     LemmaCheck,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryBudget",
     "CanonicalDecomposition",
-    "Cluster",
     "Domain",
     "DomainLayer",
     "ExtdomPartition",

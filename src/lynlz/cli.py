@@ -25,7 +25,6 @@ from .bounds import (
     iter_search,
 )
 from .domains import (
-    Cluster,
     Domain,
     DomainLayer,
     PGroup,
@@ -242,7 +241,7 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     budget = boundary_budget(cd)
     sequence = []
     for item in cd.sequence:
-        if isinstance(item, Cluster):
+        if isinstance(item, PGroup):
             sequence.append({"kind": "cluster", "members": [_domain_dict(d) for d in item.members]})
         else:
             sequence.append({"kind": "loose", "domain": _domain_dict(item)})
@@ -253,17 +252,17 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     elif args.format == "tsv":
         rows: list[list[object]] = []
         for item in cd.sequence:
-            if isinstance(item, Cluster):
-                rows.append(["cluster", item.size, " ".join(f"({d.i},{d.d})" for d in item.members)])
+            if isinstance(item, PGroup):
+                rows.append(["cluster", item.p, " ".join(f"({d.i},{d.d})" for d in item.members)])
             else:
                 rows.append(["loose", item.size, f"({item.i},{item.d})"])
         _emit_tsv(rows)
     else:
         print(f"decomposition of domain(i={root.i}, d={root.d}), size {root.size}")
         for item in cd.sequence:
-            if isinstance(item, Cluster):
+            if isinstance(item, PGroup):
                 members = ", ".join(f"(i={d.i}, d={d.d})" for d in item.members)
-                print(f"  cluster of {item.size}: {members}")
+                print(f"  cluster of {item.p}: {members}")
             else:
                 print(f"  loose: (i={item.i}, d={item.d}), size {item.size}")
         print(

@@ -67,7 +67,7 @@ def _tiles(spans: Iterable[Span], start: int, end: int) -> bool:
 
 
 class PGroup(NamedTuple):
-    """p consecutive domains of stepwise decreasing order with one shared extended span.
+    """p >= 1 consecutive domains of stepwise decreasing order with one shared extended span.
 
     A tandem domain is the p = 2 case: the pair dom_{d+1}(F_i), dom_d(F_{i+1})
     whose extended spans coincide.  Writing F_i = F_{i+1} .. F_{i+d} x, the
@@ -76,7 +76,8 @@ class PGroup(NamedTuple):
     occurrence of x F_{i+1}..F_{i+d} there, |F_i| long.  A group's window is
     ``members[0]``'s window less the last member's runs F_{i+p-1} ..
     F_{i+p+d-2} at its front: a suffix |F_i .. F_{i+p-2}| long, made of its
-    member pairs' tandem windows, rightmost pair first.
+    member pairs' tandem windows, rightmost pair first.  At p = 1, a lone
+    domain found by the canonical scan, the window is empty.
     """
 
     i: int
@@ -86,28 +87,19 @@ class PGroup(NamedTuple):
     associated: Span
 
 
-class Cluster(NamedTuple):
-    """Maximal block of non-loose domains found by the canonical scan.
+class CanonicalDecomposition(NamedTuple):
+    """Left-to-right sequence of clusters and loose subdomains of a root domain.
 
-    A cluster of size >= 2 is a p-group; a size-1 cluster is a lone domain.
+    A cluster is a maximal block of domains anchored at the root's F_j, kept
+    as the ``PGroup`` of its members.
     """
 
-    members: tuple[Domain, ...]  # ascending run index
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-class CanonicalDecomposition(NamedTuple):
-    """Left-to-right sequence of clusters and loose subdomains of a root domain."""
-
     root: Domain
-    sequence: tuple[Cluster | Domain, ...]  # bare Domain entries are loose
+    sequence: tuple[PGroup | Domain, ...]  # bare Domain entries are loose
 
     @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        return tuple(item for item in self.sequence if isinstance(item, Cluster))
+    def clusters(self) -> tuple[PGroup, ...]:
+        return tuple(item for item in self.sequence if isinstance(item, PGroup))
 
     @property
     def loose(self) -> tuple[Domain, ...]:
@@ -117,9 +109,9 @@ class CanonicalDecomposition(NamedTuple):
 class BoundaryBudget(NamedTuple):
     """Lower-bound accounting for phrase starts inside an extended domain.
 
-    ``leftmost_cluster`` is the paper's ℓ, the size of the leftmost cluster.
+    ``leftmost_cluster`` is the paper's ℓ, the p of the leftmost cluster.
     ``cluster_boundaries``, the paper's S, counts boundaries contributed by
-    clusters (size - 1 each), ``loose_boundaries`` the ones guaranteed inside
+    clusters (p - 1 each), ``loose_boundaries`` the ones guaranteed inside
     loose extended domains, and ``total = 1 + loose_boundaries + S`` must
     reach ``lower_bound = ceil(k/2) + 1``.
     """
@@ -321,7 +313,7 @@ def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDe
     if dom.size == 0:
         raise ValueError("decomposition undefined for empty domain")
     j = dom.j
-    discovered: list[Cluster | Domain] = []  # right-to-left discovery order
+    discovered: list[PGroup | Domain] = []  # right-to-left discovery order
     current: list[Domain] = [dom]
     delta = dom.d
     t = dom.i - 1
@@ -338,35 +330,35 @@ def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDe
             t -= 1
         else:
             if current:
-                discovered.append(Cluster(tuple(reversed(current))))
+                discovered.append(_make_group(tuple(reversed(current))))
                 current = []
             discovered.append(sub)
             delta = 0
             t = sub.j - 1
     if not current:
         raise IntegrityError("canonical scan ended without a leftmost cluster")
-    discovered.append(Cluster(tuple(reversed(current))))
+    discovered.append(_make_group(tuple(reversed(current))))
     return CanonicalDecomposition(root=dom, sequence=tuple(reversed(discovered)))
 
 
 def boundary_budget(cd: CanonicalDecomposition) -> BoundaryBudget:
     """Boundary accounting of a decomposition; re-derives and checks its identities.
 
-    With t >= 1 loose subdomains the cluster sizes are pinned by the loose
+    With t >= 1 loose subdomains the clusters' p are pinned by the loose
     orders, giving two exact identities (sizes and cluster boundaries); any
     mismatch means the decomposition was built incorrectly.
     """
     root = cd.root
     k, d = root.size, root.d
     first = cd.sequence[0]
-    if not isinstance(first, Cluster):
+    if not isinstance(first, PGroup):
         raise IntegrityError("budget inconsistency: leftmost item is not a cluster")
-    ell = first.size
+    ell = first.p
     loose = cd.loose
     loose_orders = tuple(sub.d for sub in loose)
     loose_sizes = tuple(sub.size for sub in loose)
     t = len(loose)
-    s_clusters = sum(c.size - 1 for c in cd.clusters)
+    s_clusters = sum(c.p - 1 for c in cd.clusters)
     loose_boundaries = sum(_ceil_half(kh) + 1 for kh in loose_sizes)
     total = 1 + loose_boundaries + s_clusters
     lower = _ceil_half(k) + 1
@@ -685,11 +677,11 @@ def verify_lemmas(s: bytes) -> LemmaReport:
                 c_budget.record(False, "i={} d={} {}", dom.i, dom.d, exc)
                 continue
             c_budget.record(True)
-            first = cd.sequence[0]  # a Cluster, or boundary_budget would have raised
+            first = cd.sequence[0]  # a cluster, or boundary_budget would have raised
             ok = first.members[0].i == dom.j
             if ok:
                 # F_j .. F_{j+ell-1}, the leftmost cluster's runs
-                head = Span(runs[dom.j - 1].start, runs[dom.j + first.size - 2].end)
+                head = Span(runs[dom.j - 1].start, runs[dom.j + first.p - 2].end)
                 # With loose subdomains the last extended domain reaches the root's
                 # extended end; a single all-covering cluster stops at F_i itself.
                 target = ext.end if cd.loose else runs[dom.i - 1].end

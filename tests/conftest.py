@@ -8,7 +8,6 @@ import pytest
 
 from lynlz import (
     CanonicalDecomposition,
-    Cluster,
     Domain,
     Span,
     bounds,
@@ -53,13 +52,13 @@ def sixteen_run_decomposition() -> CanonicalDecomposition:
     dom = unit_run_domain
     root = dom(15, 2, 1)
     sequence = (
-        Cluster((dom(1, 3, 1), dom(2, 2, 1), dom(3, 1, 1))),
+        domains._make_group((dom(1, 3, 1), dom(2, 2, 1), dom(3, 1, 1))),
         dom(6, 2, 4),
-        Cluster((dom(7, 1, 1),)),
+        domains._make_group((dom(7, 1, 1),)),
         dom(9, 3, 8),
-        Cluster((dom(10, 2, 1), dom(11, 1, 1))),
+        domains._make_group((dom(10, 2, 1), dom(11, 1, 1))),
         dom(12, 5, 12),
-        Cluster((dom(13, 4, 1), dom(14, 3, 1), root)),
+        domains._make_group((dom(13, 4, 1), dom(14, 3, 1), root)),
     )
     return CanonicalDecomposition(root=root, sequence=sequence)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from lynlz.domains import (
     CHECK_NAMES,
-    Cluster,
     Domain,
     LemmaCheck,
     LemmaReport,
@@ -294,9 +293,9 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
             continue
         c_budget.record(True)
         first = cd.sequence[0]
-        ok = isinstance(first, Cluster) and first.members[0].i == dom.j
+        ok = isinstance(first, PGroup) and first.members[0].i == dom.j
         if ok:
-            cursor = runs[dom.j + first.size - 2].end + 1  # after F_j .. F_{j+ell-1}
+            cursor = runs[dom.j + first.p - 2].end + 1  # after F_j .. F_{j+ell-1}
             if runs[dom.j - 1].start != ext.start:
                 ok = False
             for sub in cd.loose:

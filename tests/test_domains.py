@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import dense_reference
 from dense_reference import dense_groups, dense_table, dense_tandems, dense_verify_lemmas
 from lynlz import (
     CanonicalDecomposition,
-    Cluster,
     DomainLayer,
     IntegrityError,
     LyndonFactorization,
@@ -40,7 +40,9 @@ from lynlz import (
 )
 from lynlz.domains import (
     LemmaCheck,
+    _decompose,
     _empty_window_failures,
+    _make_group,
     _tiles,
 )
 
@@ -281,7 +283,7 @@ class TestCanonicalDecomposition:
         cd = canonical_decomposition(fig_lf, compute_domain(fig_lf, 5, 1))
         kinds = [
             ("cluster", tuple((d.i, d.d) for d in item.members))
-            if isinstance(item, Cluster)
+            if isinstance(item, PGroup)
             else ("loose", (item.i, item.d))
             for item in cd.sequence
         ]
@@ -307,8 +309,9 @@ class TestCanonicalDecomposition:
         cd = canonical_decomposition(fig_lf, root)
         assert len(cd.loose) == 0
         (cluster,) = cd.sequence
-        assert isinstance(cluster, Cluster)
+        assert isinstance(cluster, PGroup)
         assert [(d.i, d.d) for d in cluster.members] == [(2, 4), (3, 3), (4, 2)]
+        assert cluster == find_p_groups(fig_lf)[-1]
         budget = boundary_budget(cd)
         assert budget.cluster_boundaries == root.size  # k boundaries from the (k+1)-group
         assert budget.total == 1 + root.size >= budget.lower_bound
@@ -325,15 +328,39 @@ class TestCanonicalDecomposition:
                     continue
                 cd = canonical_decomposition(lf, dom)
                 first = cd.sequence[0]
-                assert isinstance(first, Cluster)
+                assert isinstance(first, PGroup)
                 assert first.members[0].i == dom.j
-                cursor = lf.runs[dom.j + first.size - 2].end + 1
+                cursor = lf.runs[dom.j + first.p - 2].end + 1
                 for sub in cd.loose:
                     ext = extended_domain(sub)
                     assert ext.start == cursor
                     cursor = ext.end + 1
                 stop = extended_domain(dom).end if cd.loose else lf.runs[dom.i - 1].end
                 assert cursor == stop + 1
+
+    def test_clusters_are_slices_of_maximal_groups(self):
+        # A cluster is the PGroup of its members, all anchored at the root's
+        # F_j: at p = 1 a lone domain with an empty window, at p >= 2 a run
+        # of consecutive members of one maximal group, inside its window.
+        shapes = Counter()
+        for s in _reference_inputs():
+            layer = DomainLayer(lyndon_factorize(s))
+            for dom in layer.nonempty():
+                for cluster in _decompose(dom, layer.domain).clusters:
+                    assert cluster == _make_group(cluster.members), s
+                    assert {member.j for member in cluster.members} == {dom.j}, s
+                    shapes[cluster.p >= 2] += 1
+                    if cluster.p == 1:
+                        assert cluster.associated.is_empty, s
+                        continue
+                    hosts = [g for g in layer.groups if _is_slice(cluster.members, g.members)]
+                    assert len(hosts) == 1, s
+                    assert hosts[0].associated.contains(cluster.associated), s
+        assert (shapes[False], shapes[True]) == (3051, 4004)
+
+
+def _is_slice(part: tuple, whole: tuple) -> bool:
+    return any(whole[k : k + len(part)] == part for k in range(len(whole) - len(part) + 1))
 
 
 class TestBoundaryBudget:
@@ -368,13 +395,13 @@ class TestBoundaryBudget:
         broken = CanonicalDecomposition(
             root=root,
             sequence=(
-                Cluster((dom(1, 3, 1), dom(2, 2, 1), dom(3, 1, 1))),
+                _make_group((dom(1, 3, 1), dom(2, 2, 1), dom(3, 1, 1))),
                 dom(6, 3, 4),
-                Cluster((dom(7, 1, 1),)),
+                _make_group((dom(7, 1, 1),)),
                 dom(9, 3, 8),
-                Cluster((dom(10, 2, 1), dom(11, 1, 1))),
+                _make_group((dom(10, 2, 1), dom(11, 1, 1))),
                 dom(12, 5, 12),
-                Cluster((dom(13, 4, 1), dom(14, 3, 1), root)),
+                _make_group((dom(13, 4, 1), dom(14, 3, 1), root)),
             ),
         )
         with pytest.raises(IntegrityError, match="budget inconsistency"):
