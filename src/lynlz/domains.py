@@ -160,6 +160,8 @@ def compute_domain(lf: LyndonFactorization, i: int, d: int) -> Domain:
     m = lf.m
     if i < 1 or d < 1:
         raise ValueError(f"run and order must be at least 1: i={i}, d={d}")
+    if i > m:
+        raise ValueError(f"run exceeds factorization: i={i}, m={m}")
     if i + d - 1 > m:
         raise ValueError(f"order exceeds factorization: i={i}, d={d}, m={m}")
     runs = lf.runs

@@ -81,7 +81,7 @@ class TestComputeDomain:
             pytest.param(2, 5, "order exceeds factorization: i=2, d=5, m=5", id="2-5"),
             pytest.param(5, 2, "order exceeds factorization: i=5, d=2, m=5", id="5-2"),
             pytest.param(0, 1, "run and order must be at least 1: i=0, d=1", id="0-1"),
-            pytest.param(6, 1, "order exceeds factorization: i=6, d=1, m=5", id="6-1"),
+            pytest.param(6, 1, "run exceeds factorization: i=6, m=5", id="6-1"),
             pytest.param(1, 0, "run and order must be at least 1: i=1, d=0", id="1-0"),
         ],
     )
