@@ -67,14 +67,10 @@ def test_replace_accepts_selftest_fields():
 
 def test_one_op_of_each_workload_passes():
     # Each workload makes its input, runs one op and checks it, then probes it
-    # with the traced runner's Tracer, in a fresh interpreter set up as the
-    # benchmark sets itself up.  A failure reason names a record field or
-    # report key the benchmark reads that the library no longer provides.
-    # -B keeps perfbench/ free of __pycache__.
-    code = (
-        "import json\n"
+    # with the traced runner's Tracer.  A failure reason names a record field
+    # or report key the benchmark reads that the library no longer provides.
+    reasons = _run_in_benchmark(
         "from collections import Counter\n"
-        "import run, workloads\n"
         "reasons = {}\n"
         "for name, workload in workloads.WORKLOADS.items():\n"
         "    wl = workload(1)\n"
@@ -85,12 +81,54 @@ def test_one_op_of_each_workload_passes():
         "    reasons[name] = wl.check(x, out) or wl.probe(x, out, tracer, Counter())\n"
         "print(json.dumps(reasons))\n"
     )
+    assert sorted(reasons) == ["parse-random", "parse-repetitive", "verify-family"]
+    assert reasons == dict.fromkeys(reasons)
+
+
+def test_every_per_layer_metric_has_a_source():
+    # per_layer reads a declared name with no source as 0, so a renamed span
+    # or counter would zero its metric instead of failing.  After one traced
+    # verify-family op each name must be a LAYER_SPANS metric whose spans all
+    # ran, a counter the op recorded, or a name per_layer derives itself.
+    seen = _run_in_benchmark(
+        "tracer = run.Tracer()\n"
+        "res = run.measure(workloads.VerifyFamily(1), 0.01, tracer)\n"
+        "spans = {rec[0] for rec in tracer.spans}\n"
+        "print(json.dumps({\n"
+        "    'failed': res['failed'],\n"
+        "    'spans': [m for m, parts in run.LAYER_SPANS.items() if spans.issuperset(parts)],\n"
+        "    'counts': sorted({name for op in res['counts'] for name in op}),\n"
+        "}))\n"
+    )
+    assert seen["failed"] == 0
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (per_layer,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "per_layer"
+    ]
+    derived = {
+        target.slice.value
+        for node in ast.walk(per_layer)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Subscript) and ast.unparse(target.value) == "row"
+    }
+    assert derived
+    sources = {*seen["spans"], *seen["counts"], *derived}
+    declared = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    assert [name for name in declared if name not in sources] == []
+
+
+def _run_in_benchmark(code: str):
+    """JSON printed by ``code`` run after ``import json, run, workloads``.
+
+    The code runs in a fresh interpreter set up as the benchmark sets itself
+    up; -B keeps perfbench/ free of __pycache__.
+    """
     src = PERFBENCH.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(PERFBENCH)))}
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", code], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-B", "-c", "import json, run, workloads\n" + code],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    reasons = json.loads(proc.stdout)
-    assert sorted(reasons) == ["parse-random", "parse-repetitive", "verify-family"]
-    assert reasons == dict.fromkeys(reasons)
+    return json.loads(proc.stdout)
