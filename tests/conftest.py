@@ -47,7 +47,7 @@ def unit_run_domain(i: int, d: int, j: int) -> Domain:
 
 
 def sixteen_run_decomposition() -> CanonicalDecomposition:
-    """The worked 16-run decomposition: clusters of sizes 3, 1, 2, 3 and three
+    """The worked 16-run decomposition: clusters with p = 3, 1, 2, 3 and three
     loose subdomains of orders 2, 3, 5 with sizes 2, 1, 0."""
     dom = unit_run_domain
     root = dom(15, 2, 1)
