@@ -50,12 +50,18 @@ def lz_factorize(s: bytes) -> LZFactorization:
       occurrence of a longer prefix at ``r`` is also one of ``s[b:b+lo]``, so
       ``r >= q``: the next probe searches ``s[q:b]`` only.  A probe that
       succeeds at ``r`` makes ``r`` the new ``q`` by the same argument.
+    * **Stop.**  The phrase is at most ``b - q`` bytes long: its leftmost
+      occurrence ``r`` is also one of ``s[b:b+lo]``, so ``r >= q`` by
+      *Resume*, and it fits in ``s[:b]``, so ``L <= b - r <= b - q``.  The
+      upper bound ``hi`` starts at ``min(b - q, n - b)`` and drops to
+      ``b - q`` whenever a probe moves ``q`` right, so a phrase stops
+      probing once its occurrence reaches the phrase start.
     * **Extend.**  The occurrence at ``q`` is extended in place by
       ``text.gallop``, comparing ``s[q+lo:]`` with ``s[b+lo:]`` for at most
-      ``min(b - q, n - b) - lo`` bytes.  The cap keeps the occurrence inside
-      ``s[:b]`` and the prefix inside ``s``, so every extended length still
-      occurs in ``s[:b]`` (at ``q``, which stays its leftmost occurrence)
-      and raises ``lo`` without another find.
+      ``hi - lo`` bytes.  Since ``hi <= min(b - q, n - b)``, the cap keeps
+      the occurrence inside ``s[:b]`` and the prefix inside ``s``, so every
+      extended length still occurs in ``s[:b]`` (at ``q``, which stays its
+      leftmost occurrence) and raises ``lo`` without another find.
 
     The bisection stays: the extension only raises the lower bound, and a
     longer prefix may first occur to the right of ``q``, which only a failing
@@ -70,8 +76,8 @@ def lz_factorize(s: bytes) -> LZFactorization:
             phrases.append(Span(b + 1, b + 1))  # leftmost occurrence of a fresh letter
             b += 1
             continue
-        lo = 1 + gallop(s, q + 1, b + 1, min(b - q, n - b) - 1)
-        hi = min(b, n - b)
+        hi = min(b - q, n - b)
+        lo = 1 + gallop(s, q + 1, b + 1, hi - 1)
         while lo < hi:
             mid = (lo + hi + 1) // 2
             r = s.find(s[b : b + mid], q, b)
@@ -79,7 +85,8 @@ def lz_factorize(s: bytes) -> LZFactorization:
                 hi = mid - 1
             else:
                 q = r
-                lo = mid + gallop(s, q + mid, b + mid, min(b - q, n - b) - mid)
+                hi = min(hi, b - q)
+                lo = mid + gallop(s, q + mid, b + mid, hi - mid)
         phrases.append(Span(b + 1, b + lo))
         b += lo
     return LZFactorization(text=s, phrases=tuple(phrases))

@@ -34,6 +34,20 @@ def fibonacci_prefix(n: int) -> bytes:
     return cur[:n]
 
 
+class FindCounting(bytes):
+    """A text that counts its own ``find`` calls in ``finds``.
+
+    Slices of it are plain ``bytes``, so only calls on the text itself are
+    counted: for ``lz_factorize``, every substring search it makes.
+    """
+
+    finds = 0
+
+    def find(self, *args) -> int:
+        self.finds += 1
+        return super().find(*args)
+
+
 def repeated_family_block(n: int) -> bytes:
     block = generate_family(12)
     return (block * (n // len(block) + 1))[:n]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING, fibonacci_prefix, repeated_family_block
+from conftest import FIGURE_STRING, FindCounting, fibonacci_prefix, repeated_family_block
 from lynlz import Span, generate_family, lz_factorize, oracle_lz_naive
 from lynlz.lz import ORACLE_LIMIT
 
@@ -44,6 +44,25 @@ class TestLzFactorize:
         lz = lz_factorize(b"abcd")
         assert lz.z == 4
         assert all(p.length == 1 for p in lz.phrases)
+
+
+class TestFindCount:
+    """How many substring searches the parse makes, counted on the text."""
+
+    def test_fibonacci_stops_at_the_occurrence(self):
+        # Each phrase's occurrence reaches its start, so the bound b - q ends
+        # its bisection: 34 finds for z = 19 (112 with the bound min(b, n - b)).
+        s = FindCounting(fibonacci_prefix(10_000))
+        lz = lz_factorize(s)
+        assert lz.z == 19
+        assert s.finds <= 2 * lz.z
+
+    def test_unary_one_find_per_phrase(self):
+        # Each phrase after the first is the whole parsed prefix: its first
+        # find and its extension reach b - q, so no probe follows.
+        s = FindCounting(b"a" * 300_000)
+        lz = lz_factorize(s)
+        assert s.finds == lz.z
 
 
 class TestOracle:
