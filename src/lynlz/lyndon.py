@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import IntegrityError
-from .text import Span, gallop, is_lyndon
+from .text import Span, gallop
 
 # Longest input the backtracking oracle accepts: its search is exponential in
 # principle, and inputs up to 512 bytes take well under a second.
@@ -105,14 +105,31 @@ def oracle_lyndon_dp(s: bytes) -> LyndonFactorization:
         raise ValueError(f"oracle limited to {ORACLE_LIMIT} symbols, got {n}")
 
     def pieces(pos: int, prev: bytes | None) -> Iterator[bytes]:
-        """The Lyndon pieces of ``s`` starting at ``pos`` that are at most ``prev``."""
+        """The Lyndon pieces of ``s`` starting at ``pos`` that are at most ``prev``.
+
+        A piece is Lyndon when none of its proper suffixes is smaller.  Once
+        a piece has a smaller proper suffix ``v = piece[i:]`` that is not its
+        prefix, ``v`` and ``piece`` first differ at some index ``k < len(v)``
+        with ``v[k] < piece[k]``.  Every longer piece ``piece + x`` has the
+        suffix ``v + x``, which differs from it first at the same index, so
+        it is smaller and the longer piece is not Lyndon either: the scan
+        stops there.  A smaller suffix that is a prefix (``a`` in ``aba``)
+        does not stop it, since ``abb`` is Lyndon.
+        """
         for end in range(pos + 1, n + 1):
             piece = s[pos:end]
             if prev is not None and piece > prev:
                 # Every longer piece from pos has this one as a proper prefix,
                 # so it is larger still and > prev: no solution is skipped.
                 break
-            if is_lyndon(piece):
+            lyndon = True
+            for i in range(1, len(piece)):
+                v = piece[i:]
+                if v < piece:
+                    if not piece.startswith(v):
+                        return  # no longer piece is Lyndon either
+                    lyndon = False
+            if lyndon:
                 yield piece
 
     solutions: list[list[tuple[int, bytes]]] = []
