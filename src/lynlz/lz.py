@@ -42,7 +42,7 @@ def lz_factorize(s: bytes) -> LZFactorization:
     prefix of ``s[b:]`` that occurs in ``s[:b]``.  Its length is found by
     binary search over the monotone predicate "``s[b:b+L]`` occurs in
     ``s[:b]``" (an occurrence of a longer prefix is one of every shorter
-    prefix), using C-level substring search, plus two facts that save most
+    prefix), using C-level substring search, plus three facts that save most
     of the work:
 
     * **Resume.**  After a successful probe, ``q`` is the leftmost occurrence

@@ -50,8 +50,8 @@ class TestFindCount:
     """How many substring searches the parse makes, counted on the text."""
 
     def test_fibonacci_stops_at_the_occurrence(self):
-        # Each phrase's occurrence reaches its start, so the bound b - q ends
-        # its bisection: 34 finds for z = 19 (112 with the bound min(b, n - b)).
+        # Most phrases' occurrences reach their start, so the bound b - q ends
+        # their bisection: 34 finds for z = 19 (112 with the bound min(b, n - b)).
         s = FindCounting(fibonacci_prefix(10_000))
         lz = lz_factorize(s)
         assert lz.z == 19
