@@ -34,6 +34,14 @@ def fibonacci_prefix(n: int) -> bytes:
     return cur[:n]
 
 
+def thue_morse_prefix(n: int) -> bytes:
+    """The first ``n`` letters of the Thue-Morse word over ``a < b``: abbabaab..."""
+    word = b"a"
+    while len(word) < n:
+        word += word.translate(bytes.maketrans(b"ab", b"ba"))
+    return word[:n]
+
+
 class FindCounting(bytes):
     """A text that counts its own ``find`` calls in ``finds``.
 

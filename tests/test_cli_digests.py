@@ -25,7 +25,13 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from conftest import FIGURE_STRING, GROUP_BOTTOM_STRING, GROUP_TOP_STRING
+from conftest import (
+    FIGURE_STRING,
+    GROUP_BOTTOM_STRING,
+    GROUP_TOP_STRING,
+    fibonacci_prefix,
+    thue_morse_prefix,
+)
 from lynlz import compute_domain, generate_family, lyndon_factorize
 from lynlz.cli import COMMANDS, main
 
@@ -60,6 +66,11 @@ def cases(input_file: str) -> dict[str, list[str]]:
         for name, source in inputs.items():
             for fmt in FORMATS:
                 out[f"{command}/{name}/{fmt}"] = [command, *source, "--format", fmt]
+    # Texts on which Duval's rounds resume past a long unfinished prefix.
+    resumed = {"fibonacci1000": fibonacci_prefix(1000), "thue-morse1000": thue_morse_prefix(1000)}
+    for name, s in resumed.items():
+        for fmt in FORMATS:
+            out[f"lyndon/{name}/{fmt}"] = ["lyndon", "--text", s.decode(), "--format", fmt]
     lf = lyndon_factorize(FIGURE_STRING)
     for i in range(1, lf.m + 1):
         for d in range(1, lf.m - i + 2):
