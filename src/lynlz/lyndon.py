@@ -8,6 +8,7 @@ public API are 1-based throughout.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import groupby
@@ -48,31 +49,56 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
     Each round of Duval's scan starts at ``k`` and moves ``j`` right while
     ``s[k..j)`` stays a prefix of a power of the Lyndon word ``w = s[k..k+p)``,
     with ``p = j - i``.  An equal byte ``s[i] == s[j]`` extends that periodic
-    stretch by one.  Once the match into the period reaches ``_GALLOP`` bytes,
+    stretch by one; a larger one makes everything read so far the period; a
+    smaller one ends the round.
+
+    *Gallop.*  Once the match into the period reaches ``_GALLOP`` bytes,
     the stretch is extended by ``text.gallop``, slice compares of doubling,
     then halving, length: ``s[j:j+step] == s[i:i+step]`` holds exactly when
     the per-byte loop would take the equal branch ``step`` times in a row.
-    That costs
-    O(log stretch) Python steps: ``a^n`` with ``n = 10^6`` takes a few dozen.
+    That costs O(log stretch) Python steps: ``a^n`` with ``n = 10^6`` takes
+    a few dozen.
 
-    The round ends with ``s[k..j) = w^e w'``, ``e = (j-k) // p`` and ``w'`` a
-    proper prefix of ``w``.  Its factors are ``e`` copies of ``w``, and they
-    form one whole run: the next round's suffix ``s[k+e*p..]`` is either
-    ``w'`` alone (``j = n``), shorter than ``w``, or starts with ``w' c``
-    where ``c = s[j] < s[i] = w[|w'|]``, which is not a prefix of ``w``.
-    Either way the suffix does not start with ``w``, so its first factor is
-    not ``w``.  Each round therefore appends one run directly.
+    *One run per round.*  The round ends with ``s[k..j) = w^e w'``,
+    ``e = (j-k) // p`` and ``w'`` a proper prefix of ``w``.  Its factors are
+    ``e`` copies of ``w``, and they form one whole run: the next round's
+    suffix ``s[k+e*p..]`` is either ``w'`` alone (``j = n``), shorter than
+    ``w``, or starts with ``w' c`` where ``c = s[j] < s[i] = w[|w'|]``, which
+    is not a prefix of ``w``.  Either way the suffix does not start with
+    ``w``, so its first factor is not ``w``.  Each round therefore appends
+    one run directly.
+
+    *Resume.*  After a round has read ``L`` bytes from ``k``, the scan's
+    state is ``j = k + L`` and ``i = j - P(L)``, and it depends on
+    ``s[k..k+L)`` alone.  The period ``P`` changes only in the larger-byte
+    branch, which sets it to the number of bytes read; ``periods`` holds 1
+    (the period after one byte) and each such number, in increasing order,
+    so ``P(L)`` is its largest entry ``<= L``.  The next round starts at
+    ``k' = k + e*p``, and its first bytes ``s[k'..j) = w'`` equal
+    ``s[k..k+|w'|)``, which this round has read.  Rescanning them would
+    rebuild this round's state at ``L = |w'|``, so the next round starts
+    at ``j`` with ``i = j - P(|w'|)``, once the entries above ``|w'|`` are
+    dropped; the others hold for it, as its prefix is the same.  An empty
+    ``w'`` starts afresh at ``i, j = k', k' + 1``.  So ``j`` never moves
+    left: each per-byte step and each galloped byte moves it right by one,
+    except the one compare that ends a round on a smaller byte, so the
+    per-byte steps plus the galloped bytes are at most ``n - 1 + m``.  Each entry of
+    ``periods`` is pushed once and dropped at most once.
     """
     n = len(s)
     factors: list[tuple[Span, int]] = []
     runs: list[Span] = []
-    k = 0
+    # The period after the round has read each of these many bytes: 1 after
+    # its first byte, then the new period at each reset by the a < b branch.
+    periods = [1]
+    push = periods.append
+    k, i, j, before_k = 0, 0, 1, -1
     while k < n:
-        i, j = k, k + 1
         while j < n:
             a, b = s[i], s[j]
             if a < b:
                 i = k
+                push(j - before_k)  # j + 1 - k bytes read, the new period
             elif a == b:
                 i += 1
                 if i - k >= _GALLOP:
@@ -89,6 +115,14 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
         factors.append((Span(k + 1, k + p), e))
         runs.append(Span(k + 1, k + e * p))
         k += e * p
+        before_k = k - 1
+        rest = j - k
+        if rest:
+            del periods[bisect_right(periods, rest) :]
+            i = j - periods[-1]
+        else:
+            del periods[1:]
+            i, j = k, k + 1
     return LyndonFactorization(text=s, factors=tuple(factors), runs=tuple(runs))
 
 

@@ -14,6 +14,8 @@ from lynlz import (
     cli,
     domains,
     generate_family,
+    lyndon,
+    text,
 )
 
 # 25-character worked example: five runs (abb)^2, ababbababbb, ababb, ab, a
@@ -54,6 +56,40 @@ class FindCounting(bytes):
     def find(self, *args) -> int:
         self.finds += 1
         return super().find(*args)
+
+
+class ByteReadCounting(bytes):
+    """A text that counts the single bytes read from it (``s[i]``) in ``byte_reads``.
+
+    Slices are not counted, so for ``lyndon_factorize`` this is two reads
+    per per-byte step of Duval's scan, and none for its galloped bytes.
+    """
+
+    byte_reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            self.byte_reads += 1
+        return super().__getitem__(key)
+
+
+class GallopCounting:
+    """Stands in for ``text.gallop`` and sums the lengths it matched in ``galloped``."""
+
+    galloped = 0
+
+    def __call__(self, *args) -> int:
+        matched = text.gallop(*args)
+        self.galloped += matched
+        return matched
+
+
+@pytest.fixture
+def lyndon_gallops(monkeypatch) -> GallopCounting:
+    """Count the bytes that ``lyndon_factorize`` reads through ``gallop``."""
+    counter = GallopCounting()
+    monkeypatch.setattr(lyndon, "gallop", counter)
+    return counter
 
 
 def repeated_family_block(n: int) -> bytes:

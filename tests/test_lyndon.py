@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 from itertools import product
 
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING, fibonacci_prefix, repeated_family_block
+from conftest import (
+    FIGURE_STRING,
+    ByteReadCounting,
+    fibonacci_prefix,
+    repeated_family_block,
+    thue_morse_prefix,
+)
 from lynlz import Span, generate_family, is_lyndon, lyndon_factorize, oracle_lyndon_dp
 from lynlz.lyndon import ORACLE_LIMIT
 
@@ -265,6 +272,26 @@ class TestGallopAgainstPerByteScan:
                         lf = lyndon_factorize(s)
                         assert (lf.factors, lf.runs) == duval_per_byte(s), s
 
+    def test_resume_at_every_offset_of_the_period(self):
+        # A round that ends with w^e w' c resumes the next round inside w',
+        # at every offset |w'| of the period; a trailing w lets it go on.
+        words = [
+            bytes(tup)
+            for n in range(1, 7)
+            for tup in product(b"abc", repeat=n)
+            if is_lyndon(bytes(tup))
+        ]
+        for w in words:
+            for e in (1, 2, 3):
+                for cut in range(len(w)):
+                    for c in range(ord("a"), w[cut]):
+                        head = w * e + w[:cut] + bytes([c])
+                        for s in (head, head + w):
+                            lf = lyndon_factorize(s)
+                            assert (lf.factors, lf.runs) == duval_per_byte(s), s
+                            slow = oracle_lyndon_dp(s)
+                            assert (lf.factors, lf.runs) == (slow.factors, slow.runs), s
+
     @given(periodic_strings())
     def test_periodic_strings(self, s):
         lf = lyndon_factorize(s)
@@ -278,9 +305,43 @@ class TestGallopAgainstPerByteScan:
         assert lf.runs == (Span(1, n),)
 
     @pytest.mark.parametrize(
-        "make", [fibonacci_prefix, repeated_family_block], ids=["fibonacci", "family-k12"]
+        "make",
+        [fibonacci_prefix, repeated_family_block, thue_morse_prefix],
+        ids=["fibonacci", "family-k12", "thue-morse"],
     )
     def test_repetitive_text(self, make):
         s = make(10**5)
         lf = lyndon_factorize(s)
         assert (lf.factors, lf.runs) == duval_per_byte(s)
+
+
+class TestReads:
+    """Each round resumes where the last one stopped reading, so no byte is read twice."""
+
+    @pytest.mark.parametrize(
+        "make", [fibonacci_prefix, thue_morse_prefix], ids=["fibonacci", "thue-morse"]
+    )
+    def test_galloped_bytes_at_most_n(self, make, lyndon_gallops):
+        # A scan that restarts each round at k gallops 152,849 and 176,264 bytes here.
+        s = make(10**5)
+        lyndon_factorize(s)
+        assert lyndon_gallops.galloped <= len(s)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            fibonacci_prefix(10**5),
+            thue_morse_prefix(10**5),
+            generate_family(18),
+            generate_family(40),
+            bytes(random.Random(0).choice(b"ab") for _ in range(10**4)),
+        ],
+        ids=["fibonacci", "thue-morse", "family-k18", "family-k40", "random"],
+    )
+    def test_reads_at_most_n_minus_1_plus_m(self, s, lyndon_gallops):
+        # j moves right at every per-byte step and galloped byte, except at
+        # the one compare that ends a round on a smaller byte.
+        text = ByteReadCounting(s)
+        lf = lyndon_factorize(text)
+        steps = text.byte_reads // 2
+        assert steps + lyndon_gallops.galloped <= len(s) - 1 + lf.m
