@@ -82,14 +82,14 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
     ``w'`` starts afresh at ``i, j = k', k' + 1``.  So ``j`` never moves
     left: each per-byte step and each galloped byte moves it right by one,
     except the one compare that ends a round on a smaller byte, so the
-    per-byte steps plus the galloped bytes are at most ``n - 1 + m``.  Each entry of
-    ``periods`` is pushed once and dropped at most once.
+    per-byte steps plus the galloped bytes are at most ``n - 1 + m``.  Each
+    entry of ``periods`` is pushed once and dropped at most once.
     """
     n = len(s)
     factors: list[tuple[Span, int]] = []
     runs: list[Span] = []
-    # The period after the round has read each of these many bytes: 1 after
-    # its first byte, then the new period at each reset by the a < b branch.
+    # Each entry is a number of bytes the round has read and the period from
+    # then on: 1 after its first byte, then one per reset by the a < b branch.
     periods = [1]
     push = periods.append
     k, i, j, before_k = 0, 0, 1, -1
