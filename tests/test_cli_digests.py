@@ -71,7 +71,13 @@ def cases(input_file: str) -> dict[str, list[str]]:
     for name, s in resumed.items():
         for fmt in FORMATS:
             out[f"lyndon/{name}/{fmt}"] = ["lyndon", "--text", s.decode(), "--format", fmt]
-    lf = lyndon_factorize(FIGURE_STRING)
+    # Texts whose gallops reach caps of 4096 bytes and more.
+    long_caps = {"a5000": b"a" * 5000, "ab5000": b"ab" * 2500}
+    for command in ("lyndon", "lz"):
+        for name, s in long_caps.items():
+            for fmt in FORMATS:
+                out[f"{command}/{name}/{fmt}"] = [command, "--text", s.decode(), "--format", fmt]
+    lf =lyndon_factorize(FIGURE_STRING)
     for i in range(1, lf.m + 1):
         for d in range(1, lf.m - i + 2):
             if compute_domain(lf, i, d).is_empty:
