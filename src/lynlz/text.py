@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+# Cap from which ``gallop`` first compares the whole cap in one call.
+_WHOLE_CAP = 4096
+
 
 class _SpanFields(NamedTuple):
     start: int
@@ -76,7 +79,19 @@ def gallop(s: bytes, i: int, j: int, limit: int, step: int = 1) -> int:
     more bytes failed, or would pass ``limit``.  Each halving keeps that
     bound, so at ``step = 1`` the result is ``k``.  The caller keeps both
     ``i + limit`` and ``j + limit`` within ``len(s)``.
+
+    A cap of ``_WHOLE_CAP`` bytes or more is first compared whole, in one
+    ``startswith`` call on a ``memoryview`` of ``s[j:j+limit]``, which copies
+    nothing and stops at the first mismatch.  It holds exactly when all
+    ``limit`` bytes match, which is when the result is ``limit``, so the
+    result is unchanged.  The threshold is measured: at 1024 or 2048 bytes,
+    Duval's scan of family k=18 (3,404 bytes, whose caps are the rest of the
+    text) tries whole compares that fail, and gets slower.  The guard reads
+    no single byte ``s[x]``: the tests count such reads as per-byte steps
+    of Duval's scan, and bound those.
     """
+    if limit >= _WHOLE_CAP and s.startswith(memoryview(s)[j : j + limit], i):
+        return limit
     k = 0
     while k + step <= limit and s[i + k : i + k + step] == s[j + k : j + k + step]:
         k += step

@@ -314,6 +314,20 @@ class TestGallopAgainstPerByteScan:
         lf = lyndon_factorize(s)
         assert (lf.factors, lf.runs) == duval_per_byte(s)
 
+    @pytest.mark.parametrize("n", [*range(4095, 4117), 9_999])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: b"a" * n, lambda n: (b"ab" * n)[:n], fibonacci_prefix, repeated_family_block],
+        ids=["a^n", "(ab)^n", "fibonacci", "family-k12"],
+    )
+    def test_caps_around_the_whole_compare(self, make, n):
+        # gallop compares caps of 4096 bytes and more whole.  The scan's cap
+        # is the rest of the text: a^n's first gallop has the cap n - 17 and
+        # (ab)^n's n - 18, so n = 4112..4116 puts it at 4094..4099.
+        s = make(n)
+        lf = lyndon_factorize(s)
+        assert (lf.factors, lf.runs) == duval_per_byte(s)
+
 
 class TestReads:
     """Each round resumes where the last one stopped reading, so no byte is read twice."""
@@ -325,7 +339,7 @@ class TestReads:
             thue_morse_prefix(10**5),
             generate_family(18),
             generate_family(40),
-            bytes(random.Random(0).choice(b"ab") for _ in range(10**4)),
+            bytes(random.Random(0).choices(b"ab", k=10**4)),
         ],
         ids=["fibonacci", "thue-morse", "family-k18", "family-k40", "random"],
     )

@@ -108,6 +108,21 @@ class TestOracle:
             s = s[:flip] + bytes([s[flip] ^ 3]) + s[flip + 1 :]  # a <-> b
         assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases
 
+    @pytest.mark.parametrize("n", [*range(4095, 4101), 8275, 8276, 8277, 8426, 8427, 8428, 9_999])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: b"a" * n, lambda n: b"ab" * (n // 2), fibonacci_prefix, repeated_family_block],
+        ids=["a^n", "(ab)^n", "fibonacci", "family-k12"],
+    )
+    def test_equivalence_around_the_whole_compare(self, make, n):
+        # gallop compares caps of 4096 bytes and more whole.  The Fibonacci
+        # prefix's phrase at 4,180 and the family block's at 4,331 (1-based)
+        # extend from position 1 up to the end of the text, with the cap
+        # n - 4,180 and n - 4,331: n = 8,275..8,277 and 8,426..8,428 put it
+        # at 4,095..4,097.
+        s = make(n)
+        assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases
+
     @given(st.text(alphabet="abcd", max_size=120).map(str.encode))
     def test_equivalence_random(self, s):
         assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases

@@ -194,3 +194,20 @@ class TestGallop:
                     for limit in range(n - j + 1):
                         expected = self.common_prefix(s, i, j, limit)
                         assert gallop(s, i, j, limit, step) == expected, (s, i, j, limit)
+
+    @pytest.mark.parametrize("step", [1, 2, 16])
+    @pytest.mark.parametrize("limit", [4095, 4096, 4097, 4100, 5000, 8192, 9999])
+    def test_long_caps(self, step, limit):
+        # Caps of 4096 bytes and more are first compared whole. s[i:] and
+        # s[j:] agree for j - i = len(word) up to one flipped byte: none or
+        # the one past the cap (the match reaches the cap), the cap's last
+        # byte on the j side, or its first byte on the i side.
+        for word in (b"a", b"ab", b"abaab" * 7 + b"b"):
+            i, j = 3, 3 + len(word)
+            periodic = word * ((j + limit + 2) // len(word) + 1)
+            for flip in (None, j + limit, j + limit - 1, i):
+                s = periodic
+                if flip is not None:
+                    s = s[:flip] + bytes([s[flip] ^ 3]) + s[flip + 1 :]
+                expected = self.common_prefix(s, i, j, limit)
+                assert gallop(s, i, j, limit, step) == expected, (word, limit, flip)
