@@ -84,9 +84,10 @@ def gallop(s: bytes, i: int, j: int, limit: int, step: int = 1) -> int:
     ``startswith`` call on a ``memoryview`` of ``s[j:j+limit]``, which copies
     nothing and stops at the first mismatch.  It holds exactly when all
     ``limit`` bytes match, which is when the result is ``limit``, so the
-    result is unchanged.  The threshold is measured: at 1024 or 2048 bytes,
-    Duval's scan of family k=18 (3,404 bytes, whose caps are the rest of the
-    text) tries whole compares that fail, and gets slower.  The guard reads
+    result is unchanged.  The threshold is measured: at 1024 bytes, the two
+    parses of family k=18 (3,404 bytes; Duval's caps are the rest of the
+    text) try whole compares that fail and get about 1% slower, while at
+    4096 none of its caps reaches the threshold.  The guard reads
     no single byte ``s[x]``: the tests count such reads as per-byte steps
     of Duval's scan, and bound those.
     """

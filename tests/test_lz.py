@@ -11,6 +11,12 @@ from conftest import FIGURE_STRING, FindCounting, fibonacci_prefix, repeated_fam
 from lynlz import Span, generate_family, lz_factorize, oracle_lz_naive
 from lynlz.lz import ORACLE_LIMIT
 
+REPETITIVE = pytest.mark.parametrize(
+    "make",
+    [lambda n: b"a" * n, lambda n: b"ab" * (n // 2), fibonacci_prefix, repeated_family_block],
+    ids=["a^n", "(ab)^n", "fibonacci", "family-k12"],
+)
+
 
 class TestLzFactorize:
     def test_family_k2(self):
@@ -93,11 +99,7 @@ class TestOracle:
                 assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases, s
 
     @pytest.mark.parametrize("flip", [None, ORACLE_LIMIT // 2, ORACLE_LIMIT - 2])
-    @pytest.mark.parametrize(
-        "make",
-        [lambda n: b"a" * n, lambda n: b"ab" * (n // 2), fibonacci_prefix, repeated_family_block],
-        ids=["a^n", "(ab)^n", "fibonacci", "family-k12"],
-    )
+    @REPETITIVE
     def test_equivalence_long_repetitive(self, make, flip):
         # Long phrases whose leftmost occurrence reaches up to the phrase
         # start, so the extension stops at its cap b - q (in a^n every phrase
@@ -109,11 +111,7 @@ class TestOracle:
         assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases
 
     @pytest.mark.parametrize("n", [*range(4095, 4101), 8275, 8276, 8277, 8426, 8427, 8428, 9_999])
-    @pytest.mark.parametrize(
-        "make",
-        [lambda n: b"a" * n, lambda n: b"ab" * (n // 2), fibonacci_prefix, repeated_family_block],
-        ids=["a^n", "(ab)^n", "fibonacci", "family-k12"],
-    )
+    @REPETITIVE
     def test_equivalence_around_the_whole_compare(self, make, n):
         # gallop compares caps of 4096 bytes and more whole.  The Fibonacci
         # prefix's phrase at 4,180 and the family block's at 4,331 (1-based)
