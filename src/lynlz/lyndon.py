@@ -56,8 +56,8 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
     the stretch is extended by ``text.gallop``, slice compares of doubling,
     then halving, length: ``s[j:j+step] == s[i:i+step]`` holds exactly when
     the per-byte loop would take the equal branch ``step`` times in a row.
-    That costs O(log stretch) Python steps: ``a^n`` with ``n = 10^6`` takes
-    a few dozen.
+    That costs O(log stretch) Python steps, and a cap of 4096 bytes or more
+    is first compared whole: ``a^n`` with ``n = 10^6`` takes one compare.
 
     *One run per round.*  The round ends with ``s[k..j) = w^e w'``,
     ``e = (j-k) // p`` and ``w'`` a proper prefix of ``w``.  Its factors are
