@@ -35,7 +35,7 @@ from .domains import (
 from .errors import IntegrityError
 from .lyndon import LyndonFactorization, lyndon_factorize, oracle_lyndon_dp
 from .lz import LZFactorization, lz_factorize, oracle_lz_naive
-from .text import Span, is_lyndon
+from .text import Span
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "find_p_groups",
     "find_tandem_domains",
     "generate_family",
-    "is_lyndon",
     "iter_search",
     "lyndon_factorize",
     "lz_factorize",

@@ -1,12 +1,12 @@
 """Size bounds: the m < 2z check, the extended-domain partition, the
-lower-bound string family with its closed-form counts, and exhaustive /
-random searches for extremal ratios.
+lower-bound string family with its closed-form counts, and the exhaustive
+search for extremal differences and ratios.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
@@ -142,33 +142,32 @@ class SearchRecord(NamedTuple):
     m: int
     z: int
 
-    @property
-    def diff(self) -> int:
-        return self.m - self.z
 
-    @property
-    def ratio(self) -> float:
-        return self.m / self.z
-
-
-@dataclass
-class LengthSummary:
+class LengthSummary(NamedTuple):
     """Per-length extremes of m - z and m / z."""
 
     n: int
-    count: int = 0
+    count: int = 0  # shadows tuple.count, which nothing calls
     max_diff: int | None = None
     max_diff_string: bytes | None = None
     max_ratio: float | None = None
     max_ratio_string: bytes | None = None
 
-    def merge(self, later: LengthSummary) -> None:
-        """Fold in the summary of later strings of the same length; a tie keeps the earlier string."""
-        self.count += later.count
+    def merge(self, later: LengthSummary) -> LengthSummary:
+        """The summary of this and later strings of the same length; a tie keeps the earlier string."""
+        diff = ratio = self
         if later.max_diff is not None and (self.max_diff is None or later.max_diff > self.max_diff):
-            self.max_diff, self.max_diff_string = later.max_diff, later.max_diff_string
+            diff = later
         if later.max_ratio is not None and (self.max_ratio is None or later.max_ratio > self.max_ratio):
-            self.max_ratio, self.max_ratio_string = later.max_ratio, later.max_ratio_string
+            ratio = later
+        return LengthSummary(
+            self.n,
+            self.count + later.count,
+            diff.max_diff,
+            diff.max_diff_string,
+            ratio.max_ratio,
+            ratio.max_ratio_string,
+        )
 
 
 def _alphabet(sigma: int) -> bytes:
@@ -214,8 +213,8 @@ def iter_search(
     every job count.  Raises IntegrityError on the first task holding a string
     that violates any verified bound, after the records of the tasks before it.
     """
-    tasks, jobs = _plan(sigma, max_len, dedupe, check_lemmas, jobs, limit)
-    for records in _in_order(_measured, tasks, jobs):
+    tasks, jobs = _plan(sigma, max_len, jobs, limit)
+    for records in _in_order(partial(_measured, sigma, dedupe, check_lemmas), tasks, jobs):
         yield from records
 
 
@@ -249,35 +248,33 @@ def _budget(sigma: int, max_len: int, limit: int) -> None:
 # so the memory of a worker and of the parent, at every job count.
 _TASK_STRINGS = 4096
 
-_Task = tuple[int, int, bytes, bool, bool]  # sigma, n, prefix, dedupe, check_lemmas
+_Task = tuple[int, bytes]  # n, prefix; the sweep binds sigma, dedupe and check_lemmas
 
 
-def _measured(task: _Task) -> list[SearchRecord]:
-    sigma, n, prefix, dedupe, check_lemmas = task
+def _measured(sigma: int, dedupe: bool, check_lemmas: bool, task: _Task) -> list[SearchRecord]:
+    n, prefix = task
     return [_measure(s, check_lemmas) for s in _strings(_alphabet(sigma), n, prefix, dedupe)]
 
 
-def _worker(task: _Task) -> LengthSummary:
-    n = task[1]
-    records = _measured(task)
+def _worker(sigma: int, dedupe: bool, check_lemmas: bool, task: _Task) -> LengthSummary:
+    n = task[0]
+    records = _measured(sigma, dedupe, check_lemmas, task)
     if not records:  # a dedupe task can hold no canonical string
         return LengthSummary(n=n)
     # max() returns the first of equal maxima, so a tie keeps the earliest string.
-    by_diff = max(records, key=lambda r: r.diff)
-    by_ratio = max(records, key=lambda r: r.ratio)
+    by_diff = max(records, key=lambda r: r.m - r.z)
+    by_ratio = max(records, key=lambda r: r.m / r.z)
     return LengthSummary(
         n=n,
         count=len(records),
-        max_diff=by_diff.diff,
+        max_diff=by_diff.m - by_diff.z,
         max_diff_string=by_diff.string,
-        max_ratio=by_ratio.ratio,
+        max_ratio=by_ratio.m / by_ratio.z,
         max_ratio_string=by_ratio.string,
     )
 
 
-def _plan(
-    sigma: int, max_len: int, dedupe: bool, check_lemmas: bool, jobs: int | None, limit: int
-) -> tuple[list[_Task], int]:
+def _plan(sigma: int, max_len: int, jobs: int | None, limit: int) -> tuple[list[_Task], int]:
     """Tasks in enumeration order, and the worker count.
 
     Each length n is split by the shortest prefix p with sigma^(n-p) <= _TASK_STRINGS,
@@ -295,7 +292,7 @@ def _plan(
         while sigma ** (n - p) > _TASK_STRINGS:
             p += 1
         for tup in product(letters, repeat=p):
-            tasks.append((sigma, n, bytes(tup), dedupe, check_lemmas))
+            tasks.append((n, bytes(tup)))
     cpus = os.cpu_count() or 1
     return tasks, max(1, min(cpus if jobs is None else jobs, cpus, len(tasks)))
 
@@ -326,8 +323,8 @@ def exhaustive_search(
     merge in task order, so the result is the same for every job count.  The
     first violation found anywhere aborts the sweep with the witness string.
     """
-    tasks, jobs = _plan(sigma, max_len, dedupe, check_lemmas, jobs, limit)
+    tasks, jobs = _plan(sigma, max_len, jobs, limit)
     per_length = [LengthSummary(n=n) for n in range(1, max_len + 1)]
-    for part in _in_order(_worker, tasks, jobs):
-        per_length[part.n - 1].merge(part)
+    for part in _in_order(partial(_worker, sigma, dedupe, check_lemmas), tasks, jobs):
+        per_length[part.n - 1] = per_length[part.n - 1].merge(part)
     return per_length

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict
 
 from .bounds import (
     SEARCH_LIMIT,
@@ -391,7 +390,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 0
     summaries = exhaustive_search(args.sigma, args.max_len, **sweep)
     total = sum(ls.count for ls in summaries)
-    per_length = [asdict(ls) for ls in summaries]
+    per_length = [ls._asdict() for ls in summaries]
     for entry in per_length:
         for key in ("max_diff_string", "max_ratio_string"):
             if entry[key] is not None:

@@ -243,10 +243,6 @@ class DomainLayer:
         self.tandems = tandems
         self.groups = groups
 
-    def first_empty(self, i: int) -> int:
-        """e_i: the lowest order d whose domain of F_i is empty."""
-        return len(self.rows[i - 1]) + 1
-
     def domain(self, i: int, d: int) -> Domain:
         """Order-d domain of run F_i, for 1 <= d <= m - i + 1."""
         row = self.rows[i - 1]
@@ -488,7 +484,7 @@ def _empty_window_failures(layer: DomainLayer, lz: LZFactorization, i: int) -> i
     runs = layer.lf.runs
     a_start = runs[i - 1].start
     failures = 0
-    for d in range(layer.first_empty(i), layer.lf.m - i + 2):
+    for d in range(len(layer.rows[i - 1]) + 1, layer.lf.m - i + 2):
         if lz.boundaries_in(Span(a_start, runs[i + d - 2].end)) >= 1:
             break
         failures += 1

@@ -1,4 +1,4 @@
-"""Byte-string primitives: spans, the Lyndon test and the galloping match.
+"""Byte-string primitives: spans and the galloping match.
 
 All positions exposed by this package are 1-based and inclusive, so a
 substring of ``s`` is addressed exactly as ``s[i..j]``.  Symbols are single
@@ -102,10 +102,3 @@ def gallop(s: bytes, i: int, j: int, limit: int, step: int = 1) -> int:
         if k + step <= limit and s[i + k : i + k + step] == s[j + k : j + k + step]:
             k += step
     return k
-
-
-def is_lyndon(w: bytes) -> bool:
-    """True if ``w`` is strictly smaller than all of its non-empty proper suffixes."""
-    if not w:
-        raise ValueError("empty word has no Lyndon status")
-    return all(w[i:] > w for i in range(1, len(w)))

@@ -29,6 +29,13 @@ GROUP_BOTTOM_STRING = (
 )
 
 
+def is_lyndon(w: bytes) -> bool:
+    """True if ``w`` is strictly smaller than all of its non-empty proper suffixes."""
+    if not w:
+        raise ValueError("empty word has no Lyndon status")
+    return all(w[i:] > w for i in range(1, len(w)))
+
+
 def fibonacci_prefix(n: int) -> bytes:
     prev, cur = b"b", b"a"
     while len(cur) < n:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
 import pickle
@@ -34,6 +35,7 @@ from lynlz import (
 from lynlz.bounds import (
     FAMILY_LIMIT,
     SEARCH_LIMIT,
+    LengthSummary,
     _alphabet,
     _is_canonical,
     _measure,
@@ -89,6 +91,11 @@ class TestRecords:
                 "SearchRecord(string=b'ab', m=1, z=2)",
             ),
             (check_theorem(FIGURE_STRING), "TheoremReport(m=5, z=8, t=1, passes=True)"),
+            (
+                exhaustive_search(2, 2, jobs=1)[1],
+                "LengthSummary(n=2, count=4, max_diff=0, max_diff_string=b'ba',"
+                " max_ratio=1.0, max_ratio_string=b'ba')",
+            ),
         ],
     )
     def test_value_semantics(self, record, text):
@@ -100,6 +107,31 @@ class TestRecords:
             assert type(clone) is type(record) and clone == record
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], fields[0])
+
+    def test_merge_returns_merged_summary(self):
+        empty = LengthSummary(n=3)
+        early = LengthSummary(3, 2, 0, b"aab", 1.0, b"aab")
+        tie = LengthSummary(3, 5, 0, b"abb", 1.0, b"abb")
+        better = LengthSummary(3, 1, 1, b"bba", 1.5, b"bba")
+        mixed = LengthSummary(3, 4, 1, b"bab", 0.5, b"baa")
+        operands = [tuple(ls) for ls in (empty, early, tie, better, mixed)]
+        assert early.merge(tie) == (3, 7, 0, b"aab", 1.0, b"aab")  # a tie keeps the earlier string
+        assert empty.merge(early) == early.merge(empty) == early  # a None side yields the other
+        assert empty.merge(empty) == empty
+        assert early.merge(better) == (3, 3, 1, b"bba", 1.5, b"bba")
+        assert early.merge(mixed) == (3, 6, 1, b"bab", 1.0, b"aab")
+        assert type(early.merge(tie)) is LengthSummary
+        assert [tuple(ls) for ls in (empty, early, tie, better, mixed)] == operands
+
+    @pytest.mark.parametrize("module", ["bounds", "cli"])
+    def test_search_modules_import_no_dataclasses(self, module):
+        # The search records are named tuples; the dataclasses left are the
+        # verifier's LemmaCheck and the two factorizations.
+        tree = ast.parse((Path(lynlz.__file__).parent / f"{module}.py").read_text())
+        nodes = list(ast.walk(tree))
+        imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported
 
 
 class TestImportCost:
@@ -315,6 +347,12 @@ class TestSearch:
         serial = exhaustive_search(2, 9, jobs=1)
         parallel = exhaustive_search(2, 9, jobs=2)
         assert serial == parallel
+        # The pool receives each task with the sweep's settings bound once.
+        settings = {"dedupe": True, "check_lemmas": True}
+        records = list(iter_search(3, 5, jobs=1, **settings))
+        assert list(iter_search(3, 5, jobs=2, **settings)) == records
+        # Canonical strings use {a}, {a, b} or {a, b, c}: 1 + (2^n - 2) + (3^n - 3 * 2^n + 3).
+        assert len(records) == sum(3**n - 2 ** (n + 1) + 2 for n in range(1, 6))
 
     def test_deterministic(self):
         a = exhaustive_search(3, 5, jobs=2, check_lemmas=True)
@@ -406,24 +444,24 @@ class TestSearch:
     def test_plan_tasks_hold_at_most_4096_strings(self, sigma, max_len):
         # Each length is split by the shortest prefix that leaves at most 4096
         # strings per task, whatever the job count.
-        tasks, _ = _plan(sigma, max_len, False, False, 1, 10**7)
-        assert tasks == _plan(sigma, max_len, False, False, 2, 10**7)[0]
-        for _, n, prefix, _, _ in tasks:
+        tasks, _ = _plan(sigma, max_len, 1, 10**7)
+        assert tasks == _plan(sigma, max_len, 2, 10**7)[0]
+        for n, prefix in tasks:
             size = sum(1 for _ in _strings(_alphabet(sigma), n, prefix, False))
             assert size == sigma ** (n - len(prefix)) <= 4096
             assert not prefix or sigma * size > 4096  # no shorter prefix would do
 
     @pytest.mark.parametrize("dedupe", [False, True])
     def test_plan_concatenates_to_full_enumeration(self, dedupe):
-        tasks, _ = _plan(3, 9, dedupe, False, 1, 10**7)
+        tasks, _ = _plan(3, 9, 1, 10**7)
         assert len(tasks) > 9  # lengths 8 and 9 are split
-        planned = [s for _, n, prefix, *_ in tasks for s in _strings(b"abc", n, prefix, dedupe)]
+        planned = [s for n, prefix in tasks for s in _strings(b"abc", n, prefix, dedupe)]
         full = [bytes(t) for n in range(1, 10) for t in product(b"abc", repeat=n)]
         assert planned == [s for s in full if not dedupe or _is_canonical(s)]
 
     def test_split_lengths_same_for_any_job_count(self):
         # Lengths 13 and 14 are split into several tasks, whose summaries merge.
-        assert len(_plan(2, 14, False, False, 1, 10**7)[0]) > 14
+        assert len(_plan(2, 14, 1, 10**7)[0]) > 14
         assert exhaustive_search(2, 14, jobs=1) == exhaustive_search(2, 14, jobs=2)
 
     def test_dedupe_keeps_every_extreme(self):

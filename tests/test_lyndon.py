@@ -12,10 +12,11 @@ from conftest import (
     FIGURE_STRING,
     ByteReadCounting,
     fibonacci_prefix,
+    is_lyndon,
     repeated_family_block,
     thue_morse_prefix,
 )
-from lynlz import Span, generate_family, is_lyndon, lyndon_factorize, oracle_lyndon_dp
+from lynlz import Span, generate_family, lyndon_factorize, oracle_lyndon_dp
 from lynlz.lyndon import ORACLE_LIMIT
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING
-from lynlz import Span, is_lyndon, oracle_lz_naive
+from conftest import FIGURE_STRING, is_lyndon
+from lynlz import Span, oracle_lz_naive
 from lynlz.text import gallop
 
 
@@ -34,9 +34,10 @@ def definition_order(u: bytes, v: bytes) -> int:
 
 
 class TestLexCompare:
-    """The package compares words with Python's ``bytes`` operators (in
-    ``is_lyndon``, the Lyndon oracle and the verifier); these tests pin that
-    those operators give the lexicographic order of the definition."""
+    """The package compares words with Python's ``bytes`` operators (in the
+    Lyndon oracle and the verifier, and so does the tests' ``is_lyndon``);
+    these tests pin that those operators give the lexicographic order of the
+    definition."""
 
     @pytest.mark.parametrize(
         "u, v, expected",
