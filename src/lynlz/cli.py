@@ -122,17 +122,15 @@ def _emit_tsv(rows: Iterable[list[object]]) -> None:
 
 
 def _read_input(args: argparse.Namespace) -> bytes:
+    strip = args.strip_newline  # None strips standard input only
     if args.text is not None:
         data = args.text.encode("latin-1")
-        strip_default = False
     elif args.file is not None:
         with open(args.file, "rb") as f:
             data = f.read()
-        strip_default = False
     else:
         data = sys.stdin.buffer.read()
-        strip_default = True  # shell pipelines append a newline
-    strip = strip_default if args.strip_newline is None else args.strip_newline
+        strip = strip is not False  # shell pipelines append a newline
     if strip:
         if data.endswith(b"\r\n"):
             data = data[:-2]
@@ -148,23 +146,25 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
         slow = oracle_lyndon_dp(s)  # exponential, so bounded by lyndon.ORACLE_LIMIT
         if (lf.factors, lf.runs) != (slow.factors, slow.runs):
             raise IntegrityError(f"factorization disagrees with the oracle on {render_bytes(s)}")
-    runs = [
-        {
-            "index": i + 1,
-            "span": _span_dict(run),
-            "factor": render_bytes(lf.factor_bytes(i + 1)),
-            "exponent": lf.exponent(i + 1),
-        }
-        for i, run in enumerate(lf.runs)
-    ]
     if args.format == "json":
+        runs = [
+            {
+                "index": i,
+                "span": _span_dict(r),
+                "factor": render_bytes(lf.factor_bytes(i)),
+                "exponent": lf.exponent(i),
+            }
+            for i, r in enumerate(lf.runs, 1)
+        ]
         _emit_json({"input_len": len(s), "m": lf.m, "runs": runs})
     elif args.format == "tsv":
-        _emit_tsv([[r["index"], r["span"]["start"], r["span"]["end"], r["factor"], r["exponent"]] for r in runs])
+        _emit_tsv(
+            [i, r.start, r.end, render_bytes(lf.factor_bytes(i)), lf.exponent(i)] for i, r in enumerate(lf.runs, 1)
+        )
     else:
         print(f"input length {len(s)}, m = {lf.m}")
-        for r in runs:
-            print(f"  run {r['index']}: [{r['span']['start']}..{r['span']['end']}] = ({r['factor']})^{r['exponent']}")
+        for i, r in enumerate(lf.runs, 1):
+            print(f"  run {i}: [{r.start}..{r.end}] = ({render_bytes(lf.factor_bytes(i))})^{lf.exponent(i)}")
     return 0
 
 
@@ -175,25 +175,24 @@ def _cmd_lz(args: argparse.Namespace) -> int:
         slow = oracle_lz_naive(s)  # quadratic, so bounded by lz.ORACLE_LIMIT
         if lz.phrases != slow.phrases:
             raise IntegrityError(f"parse disagrees with the oracle on {render_bytes(s)}")
-    phrases = [
-        {"index": i + 1, "span": _span_dict(p), "text": render_bytes(p.slice(s))}
-        for i, p in enumerate(lz.phrases)
-    ]
     if args.format == "json":
         _emit_json(
             {
                 "input_len": len(s),
                 "z": lz.z,
-                "phrases": phrases,
+                "phrases": [
+                    {"index": i, "span": _span_dict(p), "text": render_bytes(p.slice(s))}
+                    for i, p in enumerate(lz.phrases, 1)
+                ],
                 "boundaries": [p.start for p in lz.phrases],
             }
         )
     elif args.format == "tsv":
-        _emit_tsv([[p["index"], p["span"]["start"], p["span"]["end"], p["text"]] for p in phrases])
+        _emit_tsv([i, p.start, p.end, render_bytes(p.slice(s))] for i, p in enumerate(lz.phrases, 1))
     else:
         print(f"input length {len(s)}, z = {lz.z}")
-        for p in phrases:
-            print(f"  phrase {p['index']}: [{p['span']['start']}..{p['span']['end']}] = {p['text']}")
+        for i, p in enumerate(lz.phrases, 1):
+            print(f"  phrase {i}: [{p.start}..{p.end}] = {render_bytes(p.slice(s))}")
     return 0
 
 
@@ -238,13 +237,13 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
     root = compute_domain(lf, args.run, args.order)
     cd = canonical_decomposition(lf, root)
     budget = boundary_budget(cd)
-    sequence = []
-    for item in cd.sequence:
-        if isinstance(item, PGroup):
-            sequence.append({"kind": "cluster", "members": [_domain_dict(d) for d in item.members]})
-        else:
-            sequence.append({"kind": "loose", "domain": _domain_dict(item)})
     if args.format == "json":
+        sequence = []
+        for item in cd.sequence:
+            if isinstance(item, PGroup):
+                sequence.append({"kind": "cluster", "members": [_domain_dict(d) for d in item.members]})
+            else:
+                sequence.append({"kind": "loose", "domain": _domain_dict(item)})
         _emit_json(
             {"input_len": len(s), "root": _domain_dict(root), "sequence": sequence, "budget": budget._asdict()}
         )
@@ -274,22 +273,22 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     s = _read_input(args)
     report = verify_lemmas(s)
-    verdicts = {
-        c.name: {"instances": c.instances, "failures": c.failures, "counterexample": c.counterexample}
-        for c in report.checks
-    }
     m, z = report.m, report.z
-    out = {
-        "input_len": len(s),
-        "m": m,
-        "z": z,
-        "t": report.t,
-        "size_bound": {"passes": m < 2 * z, "slack": 2 * z - m} if s else None,
-        "all_passed": report.passed,
-        "verdicts": verdicts,
-    }
     if args.format == "json":
-        _emit_json(out)
+        _emit_json(
+            {
+                "input_len": len(s),
+                "m": m,
+                "z": z,
+                "t": report.t,
+                "size_bound": {"passes": m < 2 * z, "slack": 2 * z - m} if s else None,
+                "all_passed": report.passed,
+                "verdicts": {
+                    c.name: {"instances": c.instances, "failures": c.failures, "counterexample": c.counterexample}
+                    for c in report.checks
+                },
+            }
+        )
     elif args.format == "tsv":
         _emit_tsv(
             [[c.name, c.instances, c.failures, c.counterexample or ""] for c in report.checks]
@@ -311,39 +310,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_family(args: argparse.Namespace) -> int:
     s = generate_family(args.k)  # ValueError below k = 0 or above FAMILY_LIMIT bytes
-    out: dict = {"k": args.k, "length": len(s), "string": render_bytes(s)}
-    if args.k >= 2 or args.check:
-        counts = expected_counts(args.k)  # ValueError below k = 2
-        out["expected"] = {"m": counts.m_k, "z": counts.z_k}
+    counts = expected_counts(args.k) if args.k >= 2 or args.check else None  # ValueError below k = 2
     status = 0
     if args.check:
         lf = lyndon_factorize(s)
         lz = lz_factorize(s)
         phrases = lz.phrase_texts()
-        expected_phrases = expected_lz_phrases(args.k)
-        phrases_match = phrases == expected_phrases
+        phrases_match = phrases == expected_lz_phrases(args.k)
         counts_match = lf.m == counts.m_k and lz.z == counts.z_k
-        out["computed"] = {"m": lf.m, "z": lz.z}
-        out["phrases"] = [render_bytes(p) for p in phrases]
-        out["counts_match"] = counts_match
-        out["phrases_match"] = phrases_match
         if not (counts_match and phrases_match):
             status = 1
     if args.format == "json":
+        out: dict = {"k": args.k, "length": len(s), "string": render_bytes(s)}
+        if counts is not None:
+            out["expected"] = {"m": counts.m_k, "z": counts.z_k}
+        if args.check:
+            out["computed"] = {"m": lf.m, "z": lz.z}
+            out["phrases"] = [render_bytes(p) for p in phrases]
+            out["counts_match"] = counts_match
+            out["phrases_match"] = phrases_match
         _emit_json(out)
     elif args.format == "tsv":
-        row = [args.k, len(s), out["string"]]
-        if "computed" in out:
-            row += [out["computed"]["m"], out["computed"]["z"]]
+        row = [args.k, len(s), render_bytes(s)]
+        if args.check:
+            row += [lf.m, lz.z]
         _emit_tsv([row])
     else:
         print(f"family k={args.k}: length {len(s)}")
-        print(f"  {out['string']}")
-        if "expected" in out:
-            print(f"  expected m = {out['expected']['m']}, z = {out['expected']['z']}")
-        if "computed" in out:
-            print(f"  computed m = {out['computed']['m']}, z = {out['computed']['z']}")
-            print(f"  phrases: {' '.join(out['phrases'])}")
+        print(f"  {render_bytes(s)}")
+        if counts is not None:
+            print(f"  expected m = {counts.m_k}, z = {counts.z_k}")
+        if args.check:
+            print(f"  computed m = {lf.m}, z = {lz.z}")
+            print(f"  phrases: {' '.join(map(render_bytes, phrases))}")
             print("  check passed" if status == 0 else "  MISMATCH against closed forms")
     return status
 
@@ -390,12 +389,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 0
     summaries = exhaustive_search(args.sigma, args.max_len, **sweep)
     total = sum(ls.count for ls in summaries)
-    per_length = [ls._asdict() for ls in summaries]
-    for entry in per_length:
-        for key in ("max_diff_string", "max_ratio_string"):
-            if entry[key] is not None:
-                entry[key] = render_bytes(entry[key])
     if args.format == "json":
+        per_length = [ls._asdict() for ls in summaries]
+        for entry in per_length:
+            for key in ("max_diff_string", "max_ratio_string"):
+                if entry[key] is not None:
+                    entry[key] = render_bytes(entry[key])
         _emit_json(
             {
                 "sigma": args.sigma,
@@ -408,11 +407,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     else:
         print(f"searched {total} strings over {args.sigma} letters, lengths 1..{args.max_len}")
-        for ls in per_length:
+        for ls in summaries:
             print(
-                f"  n={ls['n']}: {ls['count']} strings, max m-z = {ls['max_diff']}"
-                f" ({ls['max_diff_string']}), max m/z = {ls['max_ratio']:.4f}"
-                f" ({ls['max_ratio_string']})"
+                f"  n={ls.n}: {ls.count} strings, max m-z = {ls.max_diff}"
+                f" ({render_bytes(ls.max_diff_string)}), max m/z = {ls.max_ratio:.4f}"
+                f" ({render_bytes(ls.max_ratio_string)})"
             )
     return 0
 

@@ -25,6 +25,7 @@ from lynlz import (
     find_tandem_domains,
     generate_family,
     lyndon_factorize,
+    lz_factorize,
 )
 from lynlz.bounds import _measure
 from lynlz.domains import CHECK_NAMES
@@ -99,6 +100,33 @@ class TestLyndonCommand:
         assert code == 0
         assert json.loads(out)["input_len"] == 4
 
+    @pytest.mark.parametrize(
+        "source, data, flags, input_len",
+        [
+            ("stdin", b"ba\r\n", (), 2),
+            ("stdin", b"ba\r\n", ("--no-strip-newline",), 4),
+            ("file", b"ba\r\n", (), 4),
+            ("file", b"ba\r\n", ("--strip-newline",), 2),
+            ("file", b"ba\n\n", ("--strip-newline",), 3),
+            ("text", b"ba\r\n", (), 4),
+            ("text", b"ba\r\n", ("--strip-newline",), 2),
+        ],
+    )
+    def test_strip_newline(self, capsys, monkeypatch, tmp_path, source, data, flags, input_len):
+        # One line terminator, \r\n or \n, goes by default from stdin only.
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            argv: list[str] = []
+        elif source == "file":
+            path = tmp_path / "input.bin"
+            path.write_bytes(data)
+            argv = ["--file", str(path)]
+        else:
+            argv = ["--text", data.decode("latin-1")]
+        code, out = run(capsys, "lyndon", *argv, *flags, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["input_len"] == input_len
+
     def test_tsv(self, capsys):
         code, out = run(capsys, "lyndon", "--text", "banana", "--format", "tsv")
         assert out.splitlines() == ["1\t1\t1\tb\t1", "2\t2\t5\tan\t2", "3\t6\t6\ta\t1"]
@@ -106,6 +134,13 @@ class TestLyndonCommand:
     def test_oracle_check(self, capsys):
         code, _ = run(capsys, "lyndon", "--text", "banana", "--oracle-check", "--format", "json")
         assert code == 0
+
+    def test_oracle_disagreement_is_defect(self, capsys, monkeypatch):
+        monkeypatch.setattr("lynlz.cli.oracle_lyndon_dp", lambda s: lyndon_factorize(b"ba"))
+        code = main(["lyndon", "--oracle-check", "--text", "abab"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "defect: factorization disagrees with the oracle on abab\n"
 
     def test_oracle_check_refuses_long_input(self, capsys):
         # The backtracking oracle recurses once per factor; past 512 bytes
@@ -138,6 +173,13 @@ class TestLzCommand:
     def test_oracle_check(self, capsys):
         code, _ = run(capsys, "lz", "--text", FIG_TEXT, "--oracle-check")
         assert code == 0
+
+    def test_oracle_disagreement_is_defect(self, capsys, monkeypatch):
+        monkeypatch.setattr("lynlz.cli.oracle_lz_naive", lambda s: lz_factorize(b"ba"))
+        code = main(["lz", "--oracle-check", "--text", "abab"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "defect: parse disagrees with the oracle on abab\n"
 
     def test_oracle_check_refuses_long_input(self, capsys):
         # The naive oracle is quadratic; past lz.ORACLE_LIMIT the check is a
@@ -294,6 +336,19 @@ class TestFamilyCommand:
         assert report["counts_match"] and report["phrases_match"]
         assert report["phrases"][-1] == "abaabaaaba"
 
+    @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
+    def test_phrase_mismatch_fails_check(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr("lynlz.cli.expected_lz_phrases", lambda k: [])
+        code, out = run(capsys, "family", "--k", "3", "--check", "--format", fmt)
+        assert code == 1
+        if fmt == "human":
+            assert out.splitlines()[-1] == "  MISMATCH against closed forms"
+        elif fmt == "json":
+            report = json.loads(out)
+            assert report["phrases_match"] is False and report["counts_match"] is True
+        else:
+            assert out.rstrip("\n").split("\t")[3:] == ["8", "7"]
+
     def test_check_below_formula_domain(self, capsys):
         code, _ = run(capsys, "family", "--k", "1", "--check")
         assert code == 2
@@ -402,24 +457,45 @@ class TestPartitionCommand:
         assert report["bound_satisfied"] is True
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
 class TestComputeOnce:
     """Each command parses its input once per factorization and builds at
-    most one domain layer."""
+    most one domain layer, in every output format."""
 
-    def test_verify(self, capsys, call_counts):
-        code, _ = run(capsys, "verify", "--text", generate_family(5).decode(), "--format", "json")
+    def test_verify(self, capsys, call_counts, fmt):
+        code, _ = run(capsys, "verify", "--text", generate_family(5).decode(), "--format", fmt)
         assert code == 0
         assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1, "DomainLayer": 1}
 
-    def test_partition_builds_no_table(self, capsys, call_counts):
-        code, _ = run(capsys, "partition", "--text", FIG_TEXT, "--format", "json")
+    def test_partition_builds_no_table(self, capsys, call_counts, fmt):
+        code, _ = run(capsys, "partition", "--text", FIG_TEXT, "--format", fmt)
         assert code == 0
         assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1}
 
-    def test_domains(self, capsys, call_counts):
-        code, _ = run(capsys, "domains", "--text", FIG_TEXT, "--format", "json")
+    def test_domains(self, capsys, call_counts, fmt):
+        code, _ = run(capsys, "domains", "--text", FIG_TEXT, "--format", fmt)
         assert code == 0
         assert call_counts == {"lyndon_factorize": 1, "DomainLayer": 1}
+
+    def test_lyndon_oracle_check(self, capsys, call_counts, fmt):
+        code, _ = run(capsys, "lyndon", "--text", FIG_TEXT, "--oracle-check", "--format", fmt)
+        assert code == 0
+        assert call_counts == {"lyndon_factorize": 1}
+
+    def test_lz_oracle_check(self, capsys, call_counts, fmt):
+        code, _ = run(capsys, "lz", "--text", FIG_TEXT, "--oracle-check", "--format", fmt)
+        assert code == 0
+        assert call_counts == {"lz_factorize": 1}
+
+    def test_canonical(self, capsys, call_counts, fmt):
+        code, _ = run(capsys, "canonical", "--text", FIG_TEXT, "--run", "4", "--order", "2", "--format", fmt)
+        assert code == 0
+        assert call_counts == {"lyndon_factorize": 1}
+
+    def test_family_check(self, capsys, call_counts, fmt):
+        code, _ = run(capsys, "family", "--k", "5", "--check", "--format", fmt)
+        assert code == 0
+        assert call_counts == {"lyndon_factorize": 1, "lz_factorize": 1}
 
 
 class TestUsage:
