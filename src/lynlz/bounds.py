@@ -10,11 +10,10 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .domains import Domain, _dom1_partition, extended_domain, verify_lemmas
+from .domains import Domain, _dom1_partition, verify_lemmas
 from .errors import IntegrityError
 from .lyndon import lyndon_factorize
 from .lz import lz_factorize
-from .text import Span
 
 _R = TypeVar("_R")
 
@@ -32,14 +31,6 @@ class ExtdomPartition(NamedTuple):
     """Tiling of the text by order-1 extended domains, stripped right to left."""
 
     domains: tuple[Domain, ...]
-
-    @property
-    def spans(self) -> tuple[Span, ...]:
-        return tuple(extended_domain(dom) for dom in self.domains)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(dom.size for dom in self.domains)
 
     @property
     def t(self) -> int:

@@ -151,20 +151,21 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
             {
                 "index": i,
                 "span": _span_dict(r),
-                "factor": render_bytes(lf.factor_bytes(i)),
-                "exponent": lf.exponent(i),
+                "factor": render_bytes(f.slice(s)),
+                "exponent": e,
             }
-            for i, r in enumerate(lf.runs, 1)
+            for i, (r, (f, e)) in enumerate(zip(lf.runs, lf.factors), 1)
         ]
         _emit_json({"input_len": len(s), "m": lf.m, "runs": runs})
     elif args.format == "tsv":
         _emit_tsv(
-            [i, r.start, r.end, render_bytes(lf.factor_bytes(i)), lf.exponent(i)] for i, r in enumerate(lf.runs, 1)
+            [i, r.start, r.end, render_bytes(f.slice(s)), e]
+            for i, (r, (f, e)) in enumerate(zip(lf.runs, lf.factors), 1)
         )
     else:
         print(f"input length {len(s)}, m = {lf.m}")
-        for i, r in enumerate(lf.runs, 1):
-            print(f"  run {i}: [{r.start}..{r.end}] = ({render_bytes(lf.factor_bytes(i))})^{lf.exponent(i)}")
+        for i, (r, (f, e)) in enumerate(zip(lf.runs, lf.factors), 1):
+            print(f"  run {i}: [{r.start}..{r.end}] = ({render_bytes(f.slice(s))})^{e}")
     return 0
 
 
@@ -315,7 +316,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if args.check:
         lf = lyndon_factorize(s)
         lz = lz_factorize(s)
-        phrases = lz.phrase_texts()
+        phrases = [p.slice(s) for p in lz.phrases]
         phrases_match = phrases == expected_lz_phrases(args.k)
         counts_match = lf.m == counts.m_k and lz.z == counts.z_k
         if not (counts_match and phrases_match):
@@ -362,19 +363,20 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 "z": z,
                 "t": part.t,
                 "partition": [
-                    {"span": _span_dict(span), "size": size}
-                    for span, size in zip(part.spans, part.sizes)
+                    {"span": _span_dict(extended_domain(dom)), "size": dom.size}
+                    for dom in part.domains
                 ],
                 "phrase_bound": bound,
                 "bound_satisfied": satisfied,
             }
         )
     elif args.format == "tsv":
-        _emit_tsv([[sp.start, sp.end, size] for sp, size in zip(part.spans, part.sizes)])
+        _emit_tsv([[*extended_domain(dom), dom.size] for dom in part.domains])
     else:
         print(f"input length {len(s)}, m = {m}, z = {z}, t = {part.t}")
-        for sp, size in zip(part.spans, part.sizes):
-            print(f"  part [{sp.start}..{sp.end}], domain size {size}")
+        for dom in part.domains:
+            sp = extended_domain(dom)
+            print(f"  part [{sp.start}..{sp.end}], domain size {dom.size}")
         print(f"phrase bound: z = {z} >= ceil((m+t)/2) = {bound}: {'ok' if satisfied else 'VIOLATED'}")
     return 0 if satisfied else 1
 

@@ -248,10 +248,6 @@ class DomainLayer:
         row = self.rows[i - 1]
         return row[d - 1] if d <= len(row) else _empty(self.lf, i, d)
 
-    def nonempty(self) -> list[Domain]:
-        """Every non-empty domain, ascending i then d."""
-        return [dom for row in self.rows for dom in row]
-
     def domains(self) -> Iterator[Domain]:
         """Every valid (i, d) domain, ascending i then d, empty ones included.
 
@@ -557,7 +553,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         return LemmaReport(m=m, z=lz.z, checks=tuple(checks.values()))
     runs = lf.runs
     run_bytes = [span.slice(s) for span in runs]
-    factor_bytes = [lf.factor_bytes(i) for i in range(1, m + 1)]
+    factor_bytes = [f.slice(s) for f, _ in lf.factors]
 
     c = checks["factor-order-dominates-runs"]
     if all(map(bytes.__gt__, factor_bytes, run_bytes[1:])) and all(
@@ -576,7 +572,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         checks["window-at-anchor-prefix"].record(False, "{}", exc)
         return LemmaReport(m=m, z=lz.z, checks=tuple(checks.values()))
     rows = layer.rows
-    nonempty = layer.nonempty()
+    nonempty = [dom for row in rows for dom in row]
 
     c = checks["window-at-anchor-prefix"]
     for dom in nonempty:

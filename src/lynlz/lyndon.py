@@ -35,13 +35,6 @@ class LyndonFactorization:
     def m(self) -> int:
         return len(self.runs)
 
-    def factor_bytes(self, i: int) -> bytes:
-        """Bytes of f_i (1-based i)."""
-        return self.factors[i - 1][0].slice(self.text)
-
-    def exponent(self, i: int) -> int:
-        return self.factors[i - 1][1]
-
 
 def lyndon_factorize(s: bytes) -> LyndonFactorization:
     """Compute the Lyndon factorization of ``s`` (Duval's algorithm, O(n)).

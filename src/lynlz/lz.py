@@ -25,9 +25,6 @@ class LZFactorization:
     def z(self) -> int:
         return len(self.phrases)
 
-    def phrase_texts(self) -> list[bytes]:
-        return [p.slice(self.text) for p in self.phrases]
-
     def boundaries_in(self, window: Span) -> int:
         """Number of phrase starts inside ``window`` (none in an empty one)."""
         # Span(x, e) sorts after (x,) and before (x + 1,), so these bisect by start.

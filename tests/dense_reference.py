@@ -137,7 +137,7 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
         return report
     runs = lf.runs
     run_bytes = [span.slice(s) for span in runs]
-    factor_bytes = [lf.factor_bytes(i) for i in range(1, m + 1)]
+    factor_bytes = [f.slice(s) for f, _ in lf.factors]
 
     c = checks["factor-order-dominates-runs"]
     for i in range(2, m + 1):

@@ -26,6 +26,7 @@ from lynlz import (
     expected_counts,
     expected_lz_phrases,
     extdom_partition,
+    extended_domain,
     generate_family,
     iter_search,
     lyndon_factorize,
@@ -195,7 +196,7 @@ class TestExpectedLzPhrases:
     @pytest.mark.parametrize("k", range(2, 13))
     def test_matches_actual_parse(self, k):
         s = generate_family(k)
-        assert lz_factorize(s).phrase_texts() == expected_lz_phrases(k)
+        assert [p.slice(s) for p in lz_factorize(s).phrases] == expected_lz_phrases(k)
         counts = expected_counts(k)
         assert lyndon_factorize(s).m == counts.m_k
         assert lz_factorize(s).z == counts.z_k
@@ -230,27 +231,27 @@ class TestCheckTheorem:
 class TestExtdomPartition:
     def test_two_fresh_letters(self):
         part = extdom_partition(b"ba")
-        assert part.spans == (Span(1, 1), Span(2, 2))
-        assert part.sizes == (0, 0)
+        assert tuple(map(extended_domain, part.domains)) == (Span(1, 1), Span(2, 2))
+        assert tuple(dom.size for dom in part.domains) == (0, 0)
         assert part.t == 2
 
     def test_figure_string_single_part(self):
         part = extdom_partition(FIGURE_STRING)
-        assert part.spans == (Span(1, 25),)
-        assert part.sizes == (4,)
+        assert tuple(map(extended_domain, part.domains)) == (Span(1, 25),)
+        assert tuple(dom.size for dom in part.domains) == (4,)
         assert part.t == 1
 
     def test_family_k2(self):
         part = extdom_partition(generate_family(2))
-        assert part.spans == (Span(1, 1), Span(2, 12))
-        assert part.sizes == (0, 3)
+        assert tuple(map(extended_domain, part.domains)) == (Span(1, 1), Span(2, 12))
+        assert tuple(dom.size for dom in part.domains) == (0, 3)
         assert lz_factorize(generate_family(2)).z >= (5 + part.t + 1) // 2
 
     def test_parts_tile_input(self):
         for s in (FIGURE_STRING, generate_family(5), b"banana"):
             part = extdom_partition(s)
             cursor = 1
-            for span in part.spans:
+            for span in map(extended_domain, part.domains):
                 assert span.start == cursor
                 cursor = span.end + 1
             assert cursor == len(s) + 1
@@ -306,6 +307,15 @@ class TestComputeOnce:
         bad = LemmaReport(m=4, z=2, checks=(failed,))
         monkeypatch.setattr("lynlz.bounds.verify_lemmas", lambda s: bad)
         with pytest.raises(IntegrityError, match=r"^size bound violated: m=4, z=2, witness b'ab'$"):
+            _measure(b"ab", True)
+
+    def test_measure_reports_failed_lemmas(self, monkeypatch):
+        failed = LemmaCheck(name="tandem-window-boundary", instances=1, failures=1, counterexample="i=1 d=1")
+        bad = LemmaReport(m=1, z=1, checks=(LemmaCheck(name="size-bound", instances=1), failed))
+        monkeypatch.setattr("lynlz.bounds.verify_lemmas", lambda s: bad)
+        with pytest.raises(
+            IntegrityError, match=r"^lemma checks failed \(\['tandem-window-boundary'\]\) on witness b'ab'$"
+        ):
             _measure(b"ab", True)
 
 

@@ -13,6 +13,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIGURE_STRING
 from lynlz import (
@@ -534,6 +536,71 @@ class TestUsage:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
+
+
+# Listed with 3 first, as hypothesis draws early entries more often: run 3 of
+# the figure string has non-empty domains, so canonical can succeed.
+_NUMBERS = st.sampled_from(["3", "1", "2", "0", "-1", "x"])
+
+
+@st.composite
+def _argv(draw) -> tuple[list[str], bytes]:
+    """An argv for ``main`` and the bytes of its input file.
+
+    ``{file}``, ``{missing}`` and ``{dir}`` in the argv stand for a file
+    holding those bytes, a missing path and a directory.  A search always
+    runs in process and is capped at 10^4 strings, and family k stays at
+    most 12, so every example is quick.
+    """
+    command = draw(st.sampled_from([*COMMANDS, "nosuch"]))
+    argv = [command]
+    # The figure string, or a short text with bytes the reports escape.
+    data = draw(st.one_of(st.just(FIG_TEXT), st.text(alphabet="ab\\\n\x00\xff", max_size=12)))
+    if command == "family":
+        argv += ["--k", draw(st.sampled_from(["-1", "0", "1", "2", "12", "x"]))]
+        argv += draw(st.sampled_from([[], ["--check"]]))
+    elif command == "search":
+        argv += ["--sigma", draw(_NUMBERS)]
+        argv += ["--max-len", draw(st.sampled_from(["-1", "0", "3", "5", "40", "x"]))]
+        argv += draw(st.sampled_from([[], ["--dedupe"], ["--check-lemmas"], ["--dedupe", "--check-lemmas"]]))
+    elif command != "nosuch":
+        sources = [["--text", data], ["--file", "{file}"], ["--file", "{missing}"], ["--file", "{dir}"], []]
+        argv += draw(st.sampled_from(sources))
+        argv += draw(st.sampled_from([[], ["--strip-newline"], ["--no-strip-newline"]]))
+        if command in ("lyndon", "lz"):
+            argv += draw(st.sampled_from([[], ["--oracle-check"]]))
+        if command == "canonical":
+            argv += ["--run", draw(_NUMBERS), "--order", draw(_NUMBERS)]
+    if command != "nosuch":
+        argv += draw(st.sampled_from([[], *(["--format", fmt] for fmt in ("human", "json", "tsv", "xml"))]))
+    if command == "search":
+        argv += ["--jobs", "1", "--limit", "10000"]
+    return argv, data.encode("latin-1")
+
+
+class TestExitCodes:
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory) -> dict[str, str]:
+        root = tmp_path_factory.mktemp("exit-codes")
+        return {"file": str(root / "input"), "missing": str(root / "missing"), "dir": str(root)}
+
+    @settings(max_examples=1000, deadline=None)
+    @given(example=_argv())
+    def test_exit_code_contract(self, paths, example):
+        # Exit 0 on success and 2 on a usage or input error, with stderr
+        # written exactly on the error; no check fails on a correct library.
+        argv, data = example
+        Path(paths["file"]).write_bytes(data)
+        argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(b"ab\n"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stdin", stdin)
+            mp.setattr(sys, "stdout", out)
+            mp.setattr(sys, "stderr", err)
+            code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        assert (code == 2) == bool(err.getvalue()), (argv, code, err.getvalue())
 
 
 class TestParserBuild:

@@ -4,7 +4,7 @@ import ast
 import random
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -347,7 +347,7 @@ class TestCanonicalDecomposition:
         shapes = Counter()
         for s in _reference_inputs():
             layer = DomainLayer(lyndon_factorize(s))
-            for dom in layer.nonempty():
+            for dom in chain.from_iterable(layer.rows):
                 for cluster in _decompose(dom, layer.domain).clusters:
                     assert cluster == _make_group(cluster.members), s
                     assert {member.j for member in cluster.members} == {dom.j}, s
@@ -407,6 +407,30 @@ class TestBoundaryBudget:
             ),
         )
         with pytest.raises(IntegrityError, match="budget inconsistency"):
+            boundary_budget(broken)
+
+    def test_leading_loose_subdomain_rejected(self):
+        cd = sixteen_run_decomposition()
+        broken = CanonicalDecomposition(root=cd.root, sequence=cd.sequence[1:])
+        with pytest.raises(IntegrityError, match="leftmost item is not a cluster"):
+            boundary_budget(broken)
+
+    def test_wrong_cluster_boundary_count_rejected(self):
+        dom = unit_run_domain
+        cd = sixteen_run_decomposition()
+        # The p = 1 cluster at run 7 becomes a p = 2 cluster: the loose sizes
+        # still balance, but the clusters hold one boundary too many.
+        sequence = list(cd.sequence)
+        sequence[2] = _make_group((dom(7, 2, 1), dom(8, 1, 1)))
+        broken = CanonicalDecomposition(root=cd.root, sequence=tuple(sequence))
+        with pytest.raises(IntegrityError, match="cluster boundary count"):
+            boundary_budget(broken)
+
+    def test_total_below_bound_rejected(self):
+        # A size-9 root whose only item is a p = 1 cluster: one boundary, not ceil(9/2) + 1.
+        root = unit_run_domain(10, 1, 1)
+        broken = CanonicalDecomposition(root=root, sequence=(_make_group((root,)),))
+        with pytest.raises(IntegrityError, match="total below guaranteed bound"):
             boundary_budget(broken)
 
 

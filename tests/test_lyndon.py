@@ -21,11 +21,11 @@ from lynlz.lyndon import ORACLE_LIMIT
 
 
 def factor_texts(lf):
-    return [lf.factor_bytes(i) for i in range(1, lf.m + 1)]
+    return [f.slice(lf.text) for f, _ in lf.factors]
 
 
 def exponents(lf):
-    return [lf.exponent(i) for i in range(1, lf.m + 1)]
+    return [e for _, e in lf.factors]
 
 
 def duval_per_byte(s: bytes) -> tuple[tuple, tuple]:
@@ -187,19 +187,21 @@ class TestInvariants:
             assert rebuilt == s
             for i in range(1, lf.m + 1):
                 factor_span, e = lf.factors[i - 1]
-                factor = lf.factor_bytes(i)
+                factor = factor_span.slice(lf.text)
                 assert is_lyndon(factor)
                 assert lf.runs[i - 1].slice(lf.text) == factor * e
                 assert lf.runs[i - 1].length == e * factor_span.length
+            factors = factor_texts(lf)
             for i in range(1, lf.m):
-                assert lf.factor_bytes(i) > lf.factor_bytes(i + 1)
+                assert factors[i - 1] > factors[i]
 
     def test_factor_dominates_later_runs(self):
         for s in self.corpus():
             lf = lyndon_factorize(s)
+            factors = factor_texts(lf)
             for j in range(1, lf.m + 1):
                 for i in range(j + 1, lf.m + 1):
-                    assert lf.factor_bytes(j) > lf.runs[i - 1].slice(lf.text)
+                    assert factors[j - 1] > lf.runs[i - 1].slice(lf.text)
 
     @given(st.binary(max_size=300))
     def test_roundtrip_random(self, s):

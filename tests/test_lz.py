@@ -21,19 +21,19 @@ REPETITIVE = pytest.mark.parametrize(
 class TestLzFactorize:
     def test_family_k2(self):
         lz = lz_factorize(generate_family(2))
-        assert lz.phrase_texts() == [b"b", b"a", b"ba", b"aba", b"baaba"]
+        assert [p.slice(lz.text) for p in lz.phrases] == [b"b", b"a", b"ba", b"aba", b"baaba"]
         assert lz.z == 5
         assert [p.start for p in lz.phrases] == [1, 2, 3, 5, 8]
 
     def test_family_k3_extends_k2(self):
         lz = lz_factorize(generate_family(3))
-        assert lz.phrase_texts() == [b"b", b"a", b"ba", b"aba", b"baaba", b"aababaa", b"abaabaaaba"]
+        assert [p.slice(lz.text) for p in lz.phrases] == [b"b", b"a", b"ba", b"aba", b"baaba", b"aababaa", b"abaabaaaba"]
         assert lz.z == 7
 
     def test_single_letter_repetition(self):
         # Derived with the naive transcription: a, a, aa.
         lz = lz_factorize(b"aaaa")
-        assert lz.phrase_texts() == [b"a", b"a", b"aa"]
+        assert [p.slice(lz.text) for p in lz.phrases] == [b"a", b"a", b"aa"]
         assert lz.z == 3
 
     def test_figure_string(self):
