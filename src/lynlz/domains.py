@@ -128,30 +128,24 @@ class BoundaryBudget(NamedTuple):
     lower_bound: int
 
 
-def _empty(lf: LyndonFactorization, i: int, d: int) -> Domain:
-    """The empty order-d domain of run F_i: its window is F_i .. F_{i+d-1} itself."""
+def _domain(lf: LyndonFactorization, i: int, d: int, q: int) -> Domain:
+    """Order-d domain of run F_i, given the start q of F_i..F_{i+d-1}'s leftmost occurrence.
+
+    Empty when q is F_i's start; otherwise q must start an earlier run F_j,
+    the domain's anchor.
+    """
     runs = lf.runs
     a_start = runs[i - 1].start
-    return Domain(
-        i=i, d=d, j=i, span=Span.empty(a_start), associated=Span(a_start, runs[i + d - 2].end)
-    )
-
-
-def _anchored(lf: LyndonFactorization, i: int, d: int, q: int, a_end: int) -> Domain:
-    """Non-empty domain whose leftmost occurrence starts at q; q must start an earlier run."""
-    runs = lf.runs
+    a_end = runs[i + d - 2].end
+    if q == a_start:
+        return Domain(i=i, d=d, j=i, span=Span.empty(a_start), associated=Span(a_start, a_end))
     j = bisect_left(runs, (q,)) + 1  # Span(q, e) sorts after (q,) and before (q + 1,)
     if j >= i or runs[j - 1].start != q:
         raise IntegrityError(
             f"leftmost occurrence of runs {i}..{i + d - 1} (position {q}) is not a run start"
         )
-    a_start = runs[i - 1].start
     return Domain(
-        i=i,
-        d=d,
-        j=j,
-        span=Span(runs[j - 1].start, a_start - 1),
-        associated=Span(q, q + (a_end - a_start)),
+        i=i, d=d, j=j, span=Span(q, a_start - 1), associated=Span(q, q + (a_end - a_start))
     )
 
 
@@ -164,13 +158,9 @@ def compute_domain(lf: LyndonFactorization, i: int, d: int) -> Domain:
         raise ValueError(f"run exceeds factorization: i={i}, m={m}")
     if i + d - 1 > m:
         raise ValueError(f"order exceeds factorization: i={i}, d={d}, m={m}")
-    runs = lf.runs
-    a_start = runs[i - 1].start
-    a_end = runs[i + d - 2].end
-    q = lf.text.find(lf.text[a_start - 1 : a_end]) + 1
-    if q == a_start:
-        return _empty(lf, i, d)
-    return _anchored(lf, i, d, q, a_end)
+    runs, text = lf.runs, lf.text
+    q = text.find(text[runs[i - 1].start - 1 : runs[i + d - 2].end]) + 1
+    return _domain(lf, i, d, q)
 
 
 class DomainLayer:
@@ -211,7 +201,7 @@ class DomainLayer:
                 q = text.find(text[a_start - 1 : a_end], q - 1) + 1
                 if q == a_start:
                     break
-                row.append(_anchored(lf, i, d, q, a_end))
+                row.append(_domain(lf, i, d, q))
             rows.append(tuple(row))
         self.lf = lf
         self.rows = tuple(rows)
@@ -246,7 +236,7 @@ class DomainLayer:
     def domain(self, i: int, d: int) -> Domain:
         """Order-d domain of run F_i, for 1 <= d <= m - i + 1."""
         row = self.rows[i - 1]
-        return row[d - 1] if d <= len(row) else _empty(self.lf, i, d)
+        return row[d - 1] if d <= len(row) else _domain(self.lf, i, d, self.lf.runs[i - 1].start)
 
     def domains(self) -> Iterator[Domain]:
         """Every valid (i, d) domain, ascending i then d, empty ones included.
@@ -329,8 +319,6 @@ def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDe
             discovered.append(sub)
             delta = 0
             t = sub.j - 1
-    if not current:
-        raise IntegrityError("canonical scan ended without a leftmost cluster")
     discovered.append(_make_group(tuple(reversed(current))))
     return CanonicalDecomposition(root=dom, sequence=tuple(reversed(discovered)))
 

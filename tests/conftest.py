@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
+from itertools import product
 
 import pytest
 
@@ -34,6 +36,17 @@ def is_lyndon(w: bytes) -> bool:
     if not w:
         raise ValueError("empty word has no Lyndon status")
     return all(w[i:] > w for i in range(1, len(w)))
+
+
+def strings(alphabet: bytes, max_len: int, min_len: int = 0) -> Iterator[bytes]:
+    """Every string over ``alphabet`` of length ``min_len`` to ``max_len``, shortest first.
+
+    Strings of one length come in ``itertools.product`` order, which is
+    lexicographic when ``alphabet`` is sorted.
+    """
+    for n in range(min_len, max_len + 1):
+        for tup in product(alphabet, repeat=n):
+            yield bytes(tup)
 
 
 def fibonacci_prefix(n: int) -> bytes:

@@ -16,10 +16,10 @@ from lynlz.domains import (
     LemmaCheck,
     LemmaReport,
     PGroup,
-    _anchored,
     _ceil_half,
     _decompose,
     _dom1_partition,
+    _domain,
     boundary_budget,
     extended_domain,
 )
@@ -55,7 +55,7 @@ def dense_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
                         i=i, d=e, j=i, span=empty, associated=Span(a_start, runs[i + e - 2].end)
                     )
                 break
-            table[(i, d)] = _anchored(lf, i, d, q, a_end)
+            table[(i, d)] = _domain(lf, i, d, q)
     return table
 
 

@@ -6,13 +6,12 @@ import inspect
 import pickle
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 
 import pytest
 
 import lynlz
-from conftest import FIGURE_STRING
+from conftest import FIGURE_STRING, strings
 from lynlz import (
     Domain,
     IntegrityError,
@@ -261,16 +260,10 @@ class TestExtdomPartition:
             extdom_partition(b"")
 
 
-def binary_strings(max_len: int):
-    for n in range(1, max_len + 1):
-        for tup in product(b"ab", repeat=n):
-            yield bytes(tup)
-
-
 class TestComputeOnce:
     def test_partition_matches_full_table(self):
         # Reference: walk the order-1 column of the full domain table.
-        for s in binary_strings(12):
+        for s in strings(b"ab", 12, min_len=1):
             lf = lyndon_factorize(s)
             table = {(dom.i, dom.d): dom for dom in all_domains(lf)}
             expected = []
@@ -281,7 +274,7 @@ class TestComputeOnce:
             assert extdom_partition(s).domains == tuple(reversed(expected)), s
 
     def test_verifier_partition_size_matches_theorem(self):
-        for s in binary_strings(12):
+        for s in strings(b"ab", 12, min_len=1):
             assert verify_lemmas(s).t == check_theorem(s).t, s
 
     def test_empty_report_has_no_partition(self):
@@ -466,7 +459,7 @@ class TestSearch:
         tasks, _ = _plan(3, 9, 1, 10**7)
         assert len(tasks) > 9  # lengths 8 and 9 are split
         planned = [s for n, prefix in tasks for s in _strings(b"abc", n, prefix, dedupe)]
-        full = [bytes(t) for n in range(1, 10) for t in product(b"abc", repeat=n)]
+        full = list(strings(b"abc", 9, min_len=1))
         assert planned == [s for s in full if not dedupe or _is_canonical(s)]
 
     def test_split_lengths_same_for_any_job_count(self):

@@ -145,9 +145,9 @@ class TestLyndonCommand:
         assert captured.err == "defect: factorization disagrees with the oracle on abab\n"
 
     def test_oracle_check_refuses_long_input(self, capsys):
-        # The backtracking oracle recurses once per factor; past 512 bytes
-        # (lyndon.ORACLE_LIMIT) the check is a usage error, not a failed check
-        # and not a traceback, and nothing goes to stdout.
+        # The backtracking oracle's search is exponential in principle, so
+        # past 512 bytes (lyndon.ORACLE_LIMIT) the check is a usage error, not
+        # a failed check and not a traceback, and nothing goes to stdout.
         code, _ = run(capsys, "lyndon", "--oracle-check", "--text", "a" * 512)
         assert code == 0
         code = main(["lyndon", "--oracle-check", "--text", "a" * 513])

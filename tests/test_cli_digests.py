@@ -77,7 +77,7 @@ def cases(input_file: str) -> dict[str, list[str]]:
         for name, s in long_caps.items():
             for fmt in FORMATS:
                 out[f"{command}/{name}/{fmt}"] = [command, "--text", s.decode(), "--format", fmt]
-    lf =lyndon_factorize(FIGURE_STRING)
+    lf = lyndon_factorize(FIGURE_STRING)
     for i in range(1, lf.m + 1):
         for d in range(1, lf.m - i + 2):
             if compute_domain(lf, i, d).is_empty:

@@ -4,7 +4,7 @@ import ast
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from conftest import (
     GROUP_BOTTOM_STRING,
     GROUP_TOP_STRING,
     sixteen_run_decomposition,
+    strings,
     unit_run_domain,
 )
 import dense_reference
@@ -161,26 +162,25 @@ class TestAllDomains:
         # The layer resumes each order's search at the previous order's
         # occurrence and stops at the first empty order e_i; compute_domain searches
         # every entry from the text's start.  all_domains fills in the empty
-        # orders and must list exactly the dense reference table.
-        for alphabet, max_len in ((b"ab", 12), (b"abc", 7)):
-            for n in range(1, max_len + 1):
-                for tup in product(alphabet, repeat=n):
-                    s = bytes(tup)
-                    lf = lyndon_factorize(s)
-                    reference = {
-                        (i, d): compute_domain(lf, i, d)
-                        for i in range(1, lf.m + 1)
-                        for d in range(1, lf.m - i + 2)
-                    }
-                    layer = DomainLayer(lf)
-                    for i, row in enumerate(layer.rows, 1):
-                        e = len(row) + 1  # the first empty order
-                        assert list(row) == [reference[(i, d)] for d in range(1, e)], s
-                        assert not any(dom.is_empty for dom in row), s
-                        assert all(reference[(i, d)].is_empty for d in range(e, lf.m - i + 2)), s
-                    domains = all_domains(lf)
-                    assert domains == list(reference.values()), s
-                    assert domains == list(dense_table(lf).values()), s
+        # orders and must list exactly the dense reference table, and
+        # layer.domain must return every entry, empty orders included.
+        for s in chain(strings(b"ab", 12, min_len=1), strings(b"abc", 7, min_len=1)):
+            lf = lyndon_factorize(s)
+            reference = {
+                (i, d): compute_domain(lf, i, d)
+                for i in range(1, lf.m + 1)
+                for d in range(1, lf.m - i + 2)
+            }
+            layer = DomainLayer(lf)
+            for i, row in enumerate(layer.rows, 1):
+                e = len(row) + 1  # the first empty order
+                assert list(row) == [reference[(i, d)] for d in range(1, e)], s
+                assert not any(dom.is_empty for dom in row), s
+                assert all(reference[(i, d)].is_empty for d in range(e, lf.m - i + 2)), s
+            assert all(layer.domain(i, d) == dom for (i, d), dom in reference.items()), s
+            domains = all_domains(lf)
+            assert domains == list(reference.values()), s
+            assert domains == list(dense_table(lf).values()), s
 
 
 class TestTandemDomains:
@@ -457,12 +457,9 @@ class TestVerifyLemmas:
         assert verify_lemmas(s).passed
 
     def test_exhaustive_small(self):
-        for alphabet, max_len in ((b"ab", 10), (b"abc", 6)):
-            for n in range(1, max_len + 1):
-                for tup in product(alphabet, repeat=n):
-                    s = bytes(tup)
-                    report = verify_lemmas(s)
-                    assert report.passed, (s, [c.name for c in report.checks if not c.passed])
+        for s in chain(strings(b"ab", 10, min_len=1), strings(b"abc", 6, min_len=1)):
+            report = verify_lemmas(s)
+            assert report.passed, (s, [c.name for c in report.checks if not c.passed])
 
     @given(st.text(alphabet="abc", max_size=30).map(str.encode))
     def test_random_strings(self, s):
@@ -539,10 +536,8 @@ def _reference_inputs():
     Then the inputs with deep groups: a non-empty first member in
     GROUP_TOP_STRING, and groups up to p = 5 in GROUP_BOTTOM_STRING and Z_5.
     """
-    for alphabet, max_len in ((b"ab", 12), (b"abc", 7)):
-        for n in range(1, max_len + 1):
-            for tup in product(alphabet, repeat=n):
-                yield bytes(tup)
+    yield from strings(b"ab", 12, min_len=1)
+    yield from strings(b"abc", 7, min_len=1)
     for k in range(2, 25):
         yield generate_family(k)
     yield from (GROUP_TOP_STRING, GROUP_BOTTOM_STRING, ZIMIN_5)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import product
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -14,6 +14,7 @@ from conftest import (
     fibonacci_prefix,
     is_lyndon,
     repeated_family_block,
+    strings,
     thue_morse_prefix,
 )
 from lynlz import Span, generate_family, lyndon_factorize, oracle_lyndon_dp
@@ -210,13 +211,10 @@ class TestInvariants:
 
     def test_oracle_equivalence_exhaustive(self):
         # Binary up to length 12 and ternary up to length 8.
-        for alphabet, max_len in ((b"ab", 12), (b"abc", 8)):
-            for n in range(0, max_len + 1):
-                for tup in product(alphabet, repeat=n):
-                    s = bytes(tup)
-                    fast = lyndon_factorize(s)
-                    slow = oracle_lyndon_dp(s)
-                    assert (fast.factors, fast.runs) == (slow.factors, slow.runs), s
+        for s in chain(strings(b"ab", 12), strings(b"abc", 8)):
+            fast = lyndon_factorize(s)
+            slow = oracle_lyndon_dp(s)
+            assert (fast.factors, fast.runs) == (slow.factors, slow.runs), s
 
     @given(st.text(alphabet="abcd", max_size=40).map(str.encode))
     def test_oracle_equivalence_random(self, s):
@@ -236,17 +234,12 @@ class TestLeastSuffixOracle:
 
     def test_against_duval_exhaustive(self):
         # Every binary string up to length 12 and ternary string up to length 8.
-        for alphabet, max_len in ((b"ab", 12), (b"abc", 8)):
-            for n in range(0, max_len + 1):
-                for tup in product(alphabet, repeat=n):
-                    s = bytes(tup)
-                    assert least_suffix_factors(s) == expanded_factors(lyndon_factorize(s)), s
+        for s in chain(strings(b"ab", 12), strings(b"abc", 8)):
+            assert least_suffix_factors(s) == expanded_factors(lyndon_factorize(s)), s
 
     def test_against_backtracking_oracle(self):
-        for n in range(0, 11):
-            for tup in product(b"ab", repeat=n):
-                s = bytes(tup)
-                assert least_suffix_factors(s) == expanded_factors(oracle_lyndon_dp(s)), s
+        for s in strings(b"ab", 10):
+            assert least_suffix_factors(s) == expanded_factors(oracle_lyndon_dp(s)), s
 
 
 class TestGallopAgainstPerByteScan:
@@ -254,36 +247,26 @@ class TestGallopAgainstPerByteScan:
 
     def test_exhaustive_sweep_ranges(self):
         # The acceptance sweep's binary range, and ternary one step past the oracle test.
-        for alphabet, max_len in ((b"ab", 16), (b"abc", 9)):
-            for n in range(0, max_len + 1):
-                for tup in product(alphabet, repeat=n):
-                    s = bytes(tup)
-                    lf = lyndon_factorize(s)
-                    assert (lf.factors, lf.runs) == duval_per_byte(s), s
+        for s in chain(strings(b"ab", 16), strings(b"abc", 9)):
+            lf = lyndon_factorize(s)
+            assert (lf.factors, lf.runs) == duval_per_byte(s), s
 
     def test_every_stretch_end_near_the_switch(self):
         # A periodic stretch of every length up to 100, cut by every letter:
         # the stretch ends before, at and after the 16-byte switch and at
         # each doubling and halving step after it.
-        for n in range(1, 5):
-            for tup in product(b"abc", repeat=n):
-                u = bytes(tup)
-                stretch = u * (100 // n + 1)
-                for length in range(1, 101):
-                    for last in (b"", b"a", b"b", b"c"):
-                        s = stretch[:length] + last
-                        lf = lyndon_factorize(s)
-                        assert (lf.factors, lf.runs) == duval_per_byte(s), s
+        for u in strings(b"abc", 4, min_len=1):
+            stretch = u * (100 // len(u) + 1)
+            for length in range(1, 101):
+                for last in (b"", b"a", b"b", b"c"):
+                    s = stretch[:length] + last
+                    lf = lyndon_factorize(s)
+                    assert (lf.factors, lf.runs) == duval_per_byte(s), s
 
     def test_resume_at_every_offset_of_the_period(self):
         # A round that ends with w^e w' c resumes the next round inside w',
         # at every offset |w'| of the period; a trailing w lets it go on.
-        words = [
-            bytes(tup)
-            for n in range(1, 7)
-            for tup in product(b"abc", repeat=n)
-            if is_lyndon(bytes(tup))
-        ]
+        words = [w for w in strings(b"abc", 6, min_len=1) if is_lyndon(w)]
         for w in words:
             for e in (1, 2, 3):
                 for cut in range(len(w)):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
-from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING, FindCounting, fibonacci_prefix, repeated_family_block
+from conftest import (
+    FIGURE_STRING,
+    FindCounting,
+    fibonacci_prefix,
+    repeated_family_block,
+    strings,
+)
 from lynlz import Span, generate_family, lz_factorize, oracle_lz_naive
 from lynlz.lz import ORACLE_LIMIT
 
@@ -87,16 +92,12 @@ class TestOracle:
             oracle_lz_naive(s + b"a")
 
     def test_equivalence_exhaustive_binary(self):
-        for n in range(0, 15):
-            for tup in product(b"ab", repeat=n):
-                s = bytes(tup)
-                assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases, s
+        for s in strings(b"ab", 14):
+            assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases, s
 
     def test_equivalence_exhaustive_ternary(self):
-        for n in range(0, 10):
-            for tup in product(b"abc", repeat=n):
-                s = bytes(tup)
-                assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases, s
+        for s in strings(b"abc", 9):
+            assert lz_factorize(s).phrases == oracle_lz_naive(s).phrases, s
 
     @pytest.mark.parametrize("flip", [None, ORACLE_LIMIT // 2, ORACLE_LIMIT - 2])
     @REPETITIVE
@@ -198,7 +199,7 @@ class TestContainsBoundary:
 
     def test_matches_direct_count(self):
         # Every window, empty ones included, against a direct count of phrase starts.
-        texts = [bytes(tup) for n in range(1, 11) for tup in product(b"ab", repeat=n)]
+        texts = list(strings(b"ab", 10, min_len=1))
         texts += [generate_family(k) for k in range(0, 6)]
         for s in texts:
             lz = lz_factorize(s)

@@ -1,22 +1,12 @@
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING, is_lyndon
+from conftest import FIGURE_STRING, is_lyndon, strings
 from lynlz import Span, oracle_lz_naive
 from lynlz.text import gallop
-
-
-def binary_words(max_len: int, alphabet: bytes = b"ab", min_len: int = 0) -> list[bytes]:
-    return [
-        bytes(tup)
-        for n in range(min_len, max_len + 1)
-        for tup in product(alphabet, repeat=n)
-    ]
 
 
 def builtin_order(u: bytes, v: bytes) -> int:
@@ -55,14 +45,14 @@ class TestLexCompare:
 
     def test_total_order_exhaustive(self):
         # All pairs of binary words up to length 6.
-        words = binary_words(6)
+        words = list(strings(b"ab", 6))
         for u in words:
             for v in words:
                 assert builtin_order(u, v) == definition_order(u, v)
 
     def test_prefix_extension(self):
-        for u in binary_words(4):
-            for x in binary_words(3, min_len=1):
+        for u in strings(b"ab", 4):
+            for x in strings(b"ab", 3, min_len=1):
                 assert u < u + x
 
     @given(st.binary(max_size=30), st.binary(max_size=30))
@@ -91,7 +81,7 @@ class TestIsLyndon:
     def test_no_other_rotation_is_lyndon(self):
         # A Lyndon word is primitive, so every other rotation is distinct
         # and none of them may be Lyndon.
-        for w in binary_words(10, min_len=1):
+        for w in strings(b"ab", 10, min_len=1):
             if not is_lyndon(w):
                 continue
             for r in range(1, len(w)):
@@ -128,15 +118,15 @@ class TestLeftmostOccurrence:
         # The empty word is in every string, so containment cannot tell a
         # fresh letter; the oracle never probes it.  Its first probe at each
         # phrase start is one byte, and a fresh letter is a phrase of its own.
-        assert all(b"" in s for s in binary_words(4))
-        for s in binary_words(8, min_len=1):
+        assert all(b"" in s for s in strings(b"ab", 4))
+        for s in strings(b"ab", 8, min_len=1):
             for phrase in oracle_lz_naive(s).phrases:
                 fresh = scan(s, phrase.slice(s)[:1]) == phrase.start
                 assert phrase.length >= 1 and (phrase.length == 1 or not fresh)
 
     def test_matches_quadratic_scan(self):
-        for s in binary_words(6):
-            for pattern in binary_words(3, min_len=1):
+        for s in strings(b"ab", 6):
+            for pattern in strings(b"ab", 3, min_len=1):
                 assert (pattern in s) == (scan(s, pattern) is not None)
 
     @given(st.binary(max_size=50), st.binary(min_size=1, max_size=5))
@@ -188,7 +178,7 @@ class TestGallop:
     @pytest.mark.parametrize("step", [1, 2, 16])
     def test_matches_byte_loop(self, step):
         # Every pair i < j and every limit that stays inside the word.
-        for s in binary_words(9, min_len=2) + [b"a" * 40, b"ab" * 20, b"aab" * 13]:
+        for s in [*strings(b"ab", 9, min_len=2), b"a" * 40, b"ab" * 20, b"aab" * 13]:
             n = len(s)
             for i in range(n):
                 for j in range(i + 1, n):
