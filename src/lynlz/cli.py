@@ -9,6 +9,7 @@ codes: 0 success / all checks pass, 1 a check failed (witness on stdout) or a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -384,10 +385,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     sweep = {key: getattr(args, key) for key in ("dedupe", "check_lemmas", "jobs", "limit")}
     if args.format == "tsv":
-        for rec in iter_search(args.sigma, args.max_len, **sweep):
-            print(
-                f"{args.sigma}\t{len(rec.string)}\t{render_bytes(rec.string)}\t{rec.m}\t{rec.z}\t{2 * rec.z - rec.m}"
-            )
+        records = iter_search(args.sigma, args.max_len, **sweep)
+        _emit_tsv([args.sigma, len(r.string), render_bytes(r.string), r.m, r.z, 2 * r.z - r.m] for r in records)
         return 0
     summaries = exhaustive_search(args.sigma, args.max_len, **sweep)
     total = sum(ls.count for ls in summaries)
@@ -418,28 +417,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-COMMANDS = ("lyndon", "lz", "domains", "canonical", "verify", "family", "search", "partition")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``lynlz`` parser with every subcommand, or with ``command``'s alone.
-
-    A one-command parser still names all of ``COMMANDS`` in its usage line,
-    so the text it prints is the full parser's for that command's arguments.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``lynlz`` parser with every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lynlz",
         description="Lyndon vs non-overlapping LZ factorizations: reports, "
         "structural verification and extremal search.",
     )
-    # The full parser lists the commands from its choices.  A metavar there
-    # would also rename the action in its "argument command:" errors.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help: str, handler) -> argparse.ArgumentParser | None:
-        if command not in (None, name):
-            return None
+    def add(name: str, help: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         return p
@@ -456,53 +444,48 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         )
         p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
-    if p := add("lyndon", "Lyndon factorization report", _cmd_lyndon):
-        add_io(p)
-        p.add_argument("--oracle-check", action="store_true", help="cross-check against the backtracking oracle")
+    p = add("lyndon", "Lyndon factorization report", _cmd_lyndon)
+    add_io(p)
+    p.add_argument("--oracle-check", action="store_true", help="cross-check against the backtracking oracle")
 
-    if p := add("lz", "non-overlapping LZ factorization report", _cmd_lz):
-        add_io(p)
-        p.add_argument("--oracle-check", action="store_true", help="cross-check against the naive greedy oracle")
+    p = add("lz", "non-overlapping LZ factorization report", _cmd_lz)
+    add_io(p)
+    p.add_argument("--oracle-check", action="store_true", help="cross-check against the naive greedy oracle")
 
-    if p := add("domains", "all domains, tandem domains and groups", _cmd_domains):
-        add_io(p)
+    p = add("domains", "all domains, tandem domains and groups", _cmd_domains)
+    add_io(p)
 
-    if p := add("canonical", "canonical subdomain decomposition of one domain", _cmd_canonical):
-        add_io(p)
-        p.add_argument("--run", type=int, required=True, help="run index i (1-based)")
-        p.add_argument("--order", type=int, required=True, help="domain order d")
+    p = add("canonical", "canonical subdomain decomposition of one domain", _cmd_canonical)
+    add_io(p)
+    p.add_argument("--run", type=int, required=True, help="run index i (1-based)")
+    p.add_argument("--order", type=int, required=True, help="domain order d")
 
-    if p := add("verify", "re-check every structural guarantee on the input", _cmd_verify):
-        add_io(p)
+    p = add("verify", "re-check every structural guarantee on the input", _cmd_verify)
+    add_io(p)
 
-    if p := add("family", "lower-bound family string and its closed-form sizes", _cmd_family):
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--check", action="store_true", help="verify sizes and the exact phrase list")
-        p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
+    p = add("family", "lower-bound family string and its closed-form sizes", _cmd_family)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--check", action="store_true", help="verify sizes and the exact phrase list")
+    p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
-    if p := add("search", "enumerate all strings up to a length, track extremes", _cmd_search):
-        p.add_argument("--sigma", type=int, required=True, help="alphabet size")
-        p.add_argument("--max-len", type=int, required=True)
-        p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
-        p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPUs)")
-        p.add_argument("--limit", type=int, default=SEARCH_LIMIT, help="refuse to enumerate more strings than this")
-        p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
+    p = add("search", "enumerate all strings up to a length, track extremes", _cmd_search)
+    p.add_argument("--sigma", type=int, required=True, help="alphabet size")
+    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
+    p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPUs)")
+    p.add_argument("--limit", type=int, default=SEARCH_LIMIT, help="refuse to enumerate more strings than this")
+    p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
-    if p := add("partition", "tile the input into order-1 extended domains", _cmd_partition):
-        add_io(p)
+    p = add("partition", "tile the input into order-1 extended domains", _cmd_partition)
+    add_io(p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # Build only the subparser that will run.  Anything else (help, an
-    # unknown or abbreviated command, an option first) needs the full parser.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # None reads sys.argv[1:]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

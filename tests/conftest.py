@@ -20,6 +20,9 @@ from lynlz import (
     text,
 )
 
+# The CLI's subcommands, in the order its usage line lists them.
+COMMANDS = ("lyndon", "lz", "domains", "canonical", "verify", "family", "search", "partition")
+
 # 25-character worked example: five runs (abb)^2, ababbababbb, ababb, ab, a
 FIGURE_STRING = b"abbabbababbababbbababbaba"
 

@@ -379,7 +379,7 @@ class TestSearch:
         assert defaults(iter_search) == defaults(exhaustive_search)
         assert defaults(iter_search)["jobs"] is None
         assert defaults(iter_search)["limit"] == SEARCH_LIMIT
-        args = build_parser("search").parse_args(["search", "--sigma", "2", "--max-len", "1"])
+        args = build_parser().parse_args(["search", "--sigma", "2", "--max-len", "1"])
         assert args.limit == SEARCH_LIMIT
         assert args.jobs is None
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING
+from conftest import COMMANDS, FIGURE_STRING
 from lynlz import (
     IntegrityError,
     LemmaCheck,
@@ -32,7 +32,6 @@ from lynlz import (
 from lynlz.bounds import _measure
 from lynlz.domains import CHECK_NAMES
 from lynlz.cli import (
-    COMMANDS,
     _domain_dict,
     _group_dict,
     _tandem_dict,
@@ -603,11 +602,19 @@ class TestExitCodes:
         assert (code == 2) == bool(err.getvalue()), (argv, code, err.getvalue())
 
 
+@pytest.fixture
+def fresh_parser():
+    """Start and end the test with no parser built in this process."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
 class TestParserBuild:
-    """The CLI builds the parser of the subcommand being run and no other."""
+    """The first ``main`` call in a process builds the whole parser, and later calls build none."""
 
     @pytest.fixture
-    def parsers_built(self, monkeypatch) -> list:
+    def parsers_built(self, monkeypatch, fresh_parser) -> list:
         built: list = []
         init = argparse.ArgumentParser.__init__
 
@@ -619,17 +626,61 @@ class TestParserBuild:
         return built
 
     @pytest.mark.parametrize(
-        "argv, count",
-        [(["lz", "--text", "ab"], 2), (["bogus"], 9), (["-h"], 9)],
-        ids=["command", "unknown", "help"],
+        "argv", [["lz", "--text", "ab"], ["bogus"], ["-h"]], ids=["command", "unknown", "help"]
     )
-    def test_parsers_built(self, capsys, parsers_built, argv, count):
+    def test_parsers_built(self, capsys, parsers_built, argv):
         main(argv)
-        assert len(parsers_built) == count
+        assert len(parsers_built) == 9  # the top level and eight subparsers
+        for later in (argv, ["verify", "--text", "ab"], ["bogus"], ["-h"]):
+            main(later)
+        assert len(parsers_built) == 9
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_one_command_usage_names_every_command(self, command):
-        assert build_parser(command).format_usage() == build_parser().format_usage()
+    def test_commands_match_usage(self):
+        # The tests' command list is the one the usage line prints, in order.
+        usage = build_parser().format_usage()
+        assert tuple(usage[usage.index("{") + 1 : usage.index("}")].split(",")) == COMMANDS
+
+
+class TestParserReuse:
+    """Reusing the parser carries nothing from one ``main`` call to the next.
+
+    Each case makes its ``first`` call and then its ``then`` call on the
+    same parser, and compares the second with the same call on a parser
+    built afresh.  ``None`` calls ``main()``, which reads ``sys.argv[1:]``.
+    Standard input holds ``ba`` and a newline for every call.
+    """
+
+    @pytest.fixture
+    def call(self, capsys, monkeypatch):
+        def call(argv: list[str] | None) -> tuple[int, str, str]:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"ba\n")))
+            code = main(argv)
+            return code, *capsys.readouterr()
+
+        return call
+
+    @pytest.mark.parametrize(
+        "first, then, expected",
+        [
+            (["verify", "--text", FIG_TEXT, "--format", "json"], ["verify", "--text", FIG_TEXT], "all checks passed"),
+            (["lz", "--file", "{file}"], ["lz", "--text", "ab"], "z = 2"),
+            (["lyndon", "--no-strip-newline", "--format", "json"], ["lyndon", "--format", "json"], '"input_len": 2'),
+            (["verify", "--text", "ab", "--bogus"], ["verify", "--text", "ab"], "all checks passed"),
+            (["verify", "--text", "ab"], None, "1\t1\t1\ta\n2\t2\t2\tb\n"),
+        ],
+        ids=["format", "exclusive-group", "strip-newline", "after-usage-error", "sys-argv"],
+    )
+    def test_second_call_matches_fresh_parser(self, monkeypatch, tmp_path, fresh_parser, call, first, then, expected):
+        monkeypatch.setattr(sys, "argv", ["lynlz", "lz", "--text", "ab", "--format", "tsv"])
+        path = tmp_path / "input.bin"
+        path.write_bytes(b"ab")
+        call([arg.format(file=path) for arg in first])
+        reused = call(then)
+        build_parser.cache_clear()
+        assert reused == call(then)
+        code, out, err = reused
+        assert (code, err) == (0, "")
+        assert expected in out
 
 
 def test_render_bytes():

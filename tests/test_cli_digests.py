@@ -26,6 +26,7 @@ from pathlib import Path
 from unittest import mock
 
 from conftest import (
+    COMMANDS,
     FIGURE_STRING,
     GROUP_BOTTOM_STRING,
     GROUP_TOP_STRING,
@@ -33,7 +34,7 @@ from conftest import (
     thue_morse_prefix,
 )
 from lynlz import compute_domain, generate_family, lyndon_factorize
-from lynlz.cli import COMMANDS, main
+from lynlz.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 
