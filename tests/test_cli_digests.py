@@ -35,6 +35,8 @@ from conftest import (
 )
 from lynlz import compute_domain, generate_family, lyndon_factorize
 from lynlz.cli import main
+from lynlz.lyndon import ORACLE_LIMIT as LYNDON_ORACLE_LIMIT
+from lynlz.lz import ORACLE_LIMIT as LZ_ORACLE_LIMIT
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 
@@ -78,6 +80,16 @@ def cases(input_file: str) -> dict[str, list[str]]:
         for name, s in long_caps.items():
             for fmt in FORMATS:
                 out[f"{command}/{name}/{fmt}"] = [command, "--text", s.decode(), "--format", fmt]
+    # --oracle-check passes silently, and past the oracle's bound it is a
+    # usage error.
+    for command in ("lyndon", "lz"):
+        for name in ("figure", "banana", "empty"):
+            for fmt in FORMATS:
+                out[f"{command}/{name}-oracle-check/{fmt}"] = [
+                    command, *inputs[name], "--oracle-check", "--format", fmt
+                ]
+    for command, limit in (("lyndon", LYNDON_ORACLE_LIMIT), ("lz", LZ_ORACLE_LIMIT)):
+        out[f"{command}/oracle-past-limit"] = [command, "--oracle-check", "--text", "a" * (limit + 1)]
     lf = lyndon_factorize(FIGURE_STRING)
     for i in range(1, lf.m + 1):
         for d in range(1, lf.m - i + 2):
