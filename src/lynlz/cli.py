@@ -143,10 +143,8 @@ def _read_input(args: argparse.Namespace) -> bytes:
 def _cmd_lyndon(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
-    if args.oracle_check:
-        slow = oracle_lyndon_dp(s)  # exponential, so bounded by lyndon.ORACLE_LIMIT
-        if (lf.factors, lf.runs) != (slow.factors, slow.runs):
-            raise IntegrityError(f"factorization disagrees with the oracle on {render_bytes(s)}")
+    if args.oracle_check and lf != oracle_lyndon_dp(s):  # exponential, so bounded by lyndon.ORACLE_LIMIT
+        raise IntegrityError(f"factorization disagrees with the oracle on {render_bytes(s)}")
     if args.format == "json":
         runs = [
             {
@@ -173,10 +171,8 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
 def _cmd_lz(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lz = lz_factorize(s)
-    if args.oracle_check:
-        slow = oracle_lz_naive(s)  # quadratic, so bounded by lz.ORACLE_LIMIT
-        if lz.phrases != slow.phrases:
-            raise IntegrityError(f"parse disagrees with the oracle on {render_bytes(s)}")
+    if args.oracle_check and lz != oracle_lz_naive(s):  # quadratic, so bounded by lz.ORACLE_LIMIT
+        raise IntegrityError(f"parse disagrees with the oracle on {render_bytes(s)}")
     if args.format == "json":
         _emit_json(
             {
@@ -502,7 +498,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

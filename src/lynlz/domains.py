@@ -173,8 +173,8 @@ class DomainLayer:
     O(m + non-empty domains) memory.  ``tandems`` lists the tandem pairs,
     each a ``PGroup`` with p = 2, and ``groups`` the maximal p-groups, both
     ascending i then d.  A plain class, not a dataclass: it is built once
-    per command and never compared, and the dataclass machinery would cost
-    every ``import lynlz``.
+    per command and never compared, so it needs no generated ``__eq__``
+    (the factorizations do; ROADMAP item 12 writes theirs by hand).
     """
 
     __slots__ = ("lf", "rows", "tandems", "groups")
@@ -531,7 +531,7 @@ def verify_lemmas(s: bytes) -> LemmaReport:
       instances are counted as passing.  (F_k = f_k^{e_k} starts with f_k,
       so F_k >= f_k holds in every correct factorization; it is evaluated
       rather than assumed, so the shortcut stays exact on a corrupt one.)
-      Otherwise every pair is evaluated, batched per run.
+      Otherwise every pair is evaluated.
     """
     lf = lyndon_factorize(s)
     lz = lz_factorize(s)
@@ -550,9 +550,8 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         c.record_many(m * (m - 1) // 2)
     else:
         for i in range(2, m + 1):
-            oks = list(map(run_bytes[i - 1].__lt__, factor_bytes[: i - 1]))  # f_j > F_i, j < i
-            bad = len(oks) - sum(oks)
-            c.record_many(len(oks), bad, "j={} i={}", oks.index(False) + 1 if bad else 0, i)
+            for j in range(1, i):
+                c.record(factor_bytes[j - 1] > run_bytes[i - 1], "j={} i={}", j, i)
 
     try:
         layer = DomainLayer(lf)

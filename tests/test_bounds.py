@@ -123,6 +123,17 @@ class TestRecords:
         assert type(early.merge(tie)) is LengthSummary
         assert [tuple(ls) for ls in (empty, early, tie, better, mixed)] == operands
 
+    @pytest.mark.parametrize("s", [b"", b"ab", FIGURE_STRING], ids=["empty", "ab", "figure"])
+    def test_factorizations_equal_only_their_own_kind(self, s):
+        # Every cross-check compares whole factorizations with ==, so a
+        # factorization must never equal a plain tuple of its fields or the
+        # other kind of factorization, as a named tuple would.
+        lf, lz = lyndon_factorize(s), lz_factorize(s)
+        assert lf == lyndon_factorize(s) and lz == lz_factorize(s)
+        assert lf != (lf.text, lf.factors, lf.runs) and (lf.text, lf.factors, lf.runs) != lf
+        assert lz != (lz.text, lz.phrases) and (lz.text, lz.phrases) != lz
+        assert lf != lz and lz != lf
+
     @pytest.mark.parametrize("module", ["bounds", "cli"])
     def test_search_modules_import_no_dataclasses(self, module):
         # The search records are named tuples; the dataclasses left are the

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -137,11 +138,14 @@ class TestLyndonCommand:
         assert code == 0
 
     def test_oracle_disagreement_is_defect(self, capsys, monkeypatch):
-        monkeypatch.setattr("lynlz.cli.oracle_lyndon_dp", lambda s: lyndon_factorize(b"ba"))
-        code = main(["lyndon", "--oracle-check", "--text", "abab"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert captured.err == "defect: factorization disagrees with the oracle on abab\n"
+        # The whole record is compared: another text, or the same text with other runs.
+        ba = lyndon_factorize(b"ba")
+        for other in (ba, dataclasses.replace(ba, text=b"abab")):
+            monkeypatch.setattr("lynlz.cli.oracle_lyndon_dp", lambda s: other)
+            code = main(["lyndon", "--oracle-check", "--text", "abab"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == "defect: factorization disagrees with the oracle on abab\n"
 
     def test_oracle_check_refuses_long_input(self, capsys):
         # The backtracking oracle's search is exponential in principle, so
@@ -176,11 +180,14 @@ class TestLzCommand:
         assert code == 0
 
     def test_oracle_disagreement_is_defect(self, capsys, monkeypatch):
-        monkeypatch.setattr("lynlz.cli.oracle_lz_naive", lambda s: lz_factorize(b"ba"))
-        code = main(["lz", "--oracle-check", "--text", "abab"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (1, "")
-        assert captured.err == "defect: parse disagrees with the oracle on abab\n"
+        # The whole record is compared: another text, or the same text with other phrases.
+        ba = lz_factorize(b"ba")
+        for other in (ba, dataclasses.replace(ba, text=b"abab")):
+            monkeypatch.setattr("lynlz.cli.oracle_lz_naive", lambda s: other)
+            code = main(["lz", "--oracle-check", "--text", "abab"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == "defect: parse disagrees with the oracle on abab\n"
 
     def test_oracle_check_refuses_long_input(self, capsys):
         # The naive oracle is quadratic; past lz.ORACLE_LIMIT the check is a

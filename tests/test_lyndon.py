@@ -17,7 +17,7 @@ from conftest import (
     strings,
     thue_morse_prefix,
 )
-from lynlz import Span, generate_family, lyndon_factorize, oracle_lyndon_dp
+from lynlz import LyndonFactorization, Span, generate_family, lyndon_factorize, oracle_lyndon_dp
 from lynlz.lyndon import ORACLE_LIMIT
 
 
@@ -29,7 +29,7 @@ def exponents(lf):
     return [e for _, e in lf.factors]
 
 
-def duval_per_byte(s: bytes) -> tuple[tuple, tuple]:
+def duval_per_byte(s: bytes) -> LyndonFactorization:
     """Slow path: classic Duval, one byte per step, one cut per factor, grouped after.
 
     Transcribed here rather than imported, so that it shares no code with
@@ -59,7 +59,7 @@ def duval_per_byte(s: bytes) -> tuple[tuple, tuple]:
         factors.append((Span(start + 1, start + length), count))
         runs.append(Span(start + 1, start + count * length))
         idx += count
-    return tuple(factors), tuple(runs)
+    return LyndonFactorization(text=s, factors=tuple(factors), runs=tuple(runs))
 
 
 def least_suffix_factors(s: bytes) -> list[bytes]:
@@ -117,7 +117,7 @@ class TestOracle:
     def test_length_guard(self):
         # Exactly ORACLE_LIMIT bytes is accepted, one more is refused.
         s = b"a" * ORACLE_LIMIT
-        assert oracle_lyndon_dp(s).factors == lyndon_factorize(s).factors
+        assert oracle_lyndon_dp(s) == lyndon_factorize(s)
         message = f"^oracle limited to {ORACLE_LIMIT} symbols, got {ORACLE_LIMIT + 1}$"
         with pytest.raises(ValueError, match=message):
             oracle_lyndon_dp(s + b"a")
@@ -212,15 +212,11 @@ class TestInvariants:
     def test_oracle_equivalence_exhaustive(self):
         # Binary up to length 12 and ternary up to length 8.
         for s in chain(strings(b"ab", 12), strings(b"abc", 8)):
-            fast = lyndon_factorize(s)
-            slow = oracle_lyndon_dp(s)
-            assert (fast.factors, fast.runs) == (slow.factors, slow.runs), s
+            assert lyndon_factorize(s) == oracle_lyndon_dp(s), s
 
     @given(st.text(alphabet="abcd", max_size=40).map(str.encode))
     def test_oracle_equivalence_random(self, s):
-        fast = lyndon_factorize(s)
-        slow = oracle_lyndon_dp(s)
-        assert (fast.factors, fast.runs) == (slow.factors, slow.runs)
+        assert lyndon_factorize(s) == oracle_lyndon_dp(s)
 
 
 class TestLeastSuffixOracle:
@@ -249,7 +245,7 @@ class TestGallopAgainstPerByteScan:
         # The acceptance sweep's binary range, and ternary one step past the oracle test.
         for s in chain(strings(b"ab", 16), strings(b"abc", 9)):
             lf = lyndon_factorize(s)
-            assert (lf.factors, lf.runs) == duval_per_byte(s), s
+            assert lf == duval_per_byte(s), s
 
     def test_every_stretch_end_near_the_switch(self):
         # A periodic stretch of every length up to 100, cut by every letter:
@@ -261,7 +257,7 @@ class TestGallopAgainstPerByteScan:
                 for last in (b"", b"a", b"b", b"c"):
                     s = stretch[:length] + last
                     lf = lyndon_factorize(s)
-                    assert (lf.factors, lf.runs) == duval_per_byte(s), s
+                    assert lf == duval_per_byte(s), s
 
     def test_resume_at_every_offset_of_the_period(self):
         # A round that ends with w^e w' c resumes the next round inside w',
@@ -274,14 +270,13 @@ class TestGallopAgainstPerByteScan:
                         head = w * e + w[:cut] + bytes([c])
                         for s in (head, head + w):
                             lf = lyndon_factorize(s)
-                            assert (lf.factors, lf.runs) == duval_per_byte(s), s
-                            slow = oracle_lyndon_dp(s)
-                            assert (lf.factors, lf.runs) == (slow.factors, slow.runs), s
+                            assert lf == duval_per_byte(s), s
+                            assert lf == oracle_lyndon_dp(s), s
 
     @given(periodic_strings())
     def test_periodic_strings(self, s):
         lf = lyndon_factorize(s)
-        assert (lf.factors, lf.runs) == duval_per_byte(s)
+        assert lf == duval_per_byte(s)
 
     @pytest.mark.parametrize("word", [b"a", b"ab"])
     def test_one_run_at_a_million_bytes(self, word):
@@ -298,7 +293,7 @@ class TestGallopAgainstPerByteScan:
     def test_repetitive_text(self, make):
         s = make(10**5)
         lf = lyndon_factorize(s)
-        assert (lf.factors, lf.runs) == duval_per_byte(s)
+        assert lf == duval_per_byte(s)
 
     @pytest.mark.parametrize("n", [*range(4095, 4117), 9_999])
     @pytest.mark.parametrize(
@@ -312,7 +307,7 @@ class TestGallopAgainstPerByteScan:
         # (ab)^n's n - 18, so n = 4112..4116 puts it at 4094..4099.
         s = make(n)
         lf = lyndon_factorize(s)
-        assert (lf.factors, lf.runs) == duval_per_byte(s)
+        assert lf == duval_per_byte(s)
 
 
 class TestReads:
