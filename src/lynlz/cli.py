@@ -142,8 +142,9 @@ def _read_input(args: argparse.Namespace) -> bytes:
 
 def _cmd_lyndon(args: argparse.Namespace) -> int:
     s = _read_input(args)
+    oracle = oracle_lyndon_dp(s) if args.oracle_check else None  # exponential, so bounded by lyndon.ORACLE_LIMIT
     lf = lyndon_factorize(s)
-    if args.oracle_check and lf != oracle_lyndon_dp(s):  # exponential, so bounded by lyndon.ORACLE_LIMIT
+    if oracle is not None and lf != oracle:
         raise IntegrityError(f"factorization disagrees with the oracle on {render_bytes(s)}")
     if args.format == "json":
         runs = [
@@ -170,8 +171,9 @@ def _cmd_lyndon(args: argparse.Namespace) -> int:
 
 def _cmd_lz(args: argparse.Namespace) -> int:
     s = _read_input(args)
+    oracle = oracle_lz_naive(s) if args.oracle_check else None  # quadratic, so bounded by lz.ORACLE_LIMIT
     lz = lz_factorize(s)
-    if args.oracle_check and lz != oracle_lz_naive(s):  # quadratic, so bounded by lz.ORACLE_LIMIT
+    if oracle is not None and lz != oracle:
         raise IntegrityError(f"parse disagrees with the oracle on {render_bytes(s)}")
     if args.format == "json":
         _emit_json(

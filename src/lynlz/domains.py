@@ -577,14 +577,6 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         for t in range(dom.j + 1, dom.i):
             c.record(factor_bytes[t - 1].startswith(alpha), "i={} d={} t={}", dom.i, dom.d, t)
 
-    c = checks["higher-order-suffix"]
-    for i, row in enumerate(rows, 1):
-        top, e = m - i + 1, len(row) + 1  # highest order, first empty order
-        anchors = [dom.j for dom in row] + [i]  # j of orders 1 .. e_i
-        for d in range(2, min(e, top) + 1):
-            c.record(anchors[d - 1] >= anchors[d - 2], "i={} d={}", i, d)
-        c.record_many(max(0, top - e))  # orders past e_i: i >= i
-
     c = checks["nested-domain-containment"]
     for dom in nonempty:
         for k in range(dom.j, dom.i):
@@ -594,14 +586,6 @@ def verify_lemmas(s: bytes) -> LemmaReport:
                     dom.span.contains(sub.span), "i={} d={} k={} d'={}", dom.i, dom.d, k, sub.d
                 )
             c.record_many(m - k + 1 - len(sub_row))  # empty sub-domains: empty spans fit
-
-    c = checks["domain-window-boundary"]
-    tail_failures: list[int] = []  # per run, its empty domains failing the check
-    for i, row in enumerate(rows, 1):
-        for dom in row:
-            c.record(lz.boundaries_in(dom.associated) >= 1, "i={} d={}", i, dom.d)
-        tail_failures.append(_empty_window_failures(layer, lz, i))
-        c.record_many(m - i + 1 - len(row), tail_failures[-1], "i={} d={}", i, len(row) + 1)
 
     tandems, groups = layer.tandems, layer.groups
     _check_window_rules(
@@ -645,11 +629,20 @@ def verify_lemmas(s: bytes) -> LemmaReport:
         c.record(not stack or stack[-1].end >= span.end, "[{}..{}]", span.start, span.end)
         stack.append(span)
 
+    c_suffix = checks["higher-order-suffix"]
+    c_window = checks["domain-window-boundary"]
     c_tile = checks["decomposition-tiling"]
     c_budget = checks["budget-identities"]
     c_count = checks["extdom-boundary-count"]
     for i, row in enumerate(rows, 1):
+        top, e = m - i + 1, len(row) + 1  # highest order, first empty order
+        anchors = [dom.j for dom in row] + [i]  # j of orders 1 .. e_i
+        for d in range(2, min(e, top) + 1):
+            c_suffix.record(anchors[d - 1] >= anchors[d - 2], "i={} d={}", i, d)
+        c_suffix.record_many(max(0, top - e))  # orders past e_i: i >= i
         for dom in row:
+            # before the decomposition, whose failure skips the rest of the domain
+            c_window.record(lz.boundaries_in(dom.associated) >= 1, "i={} d={}", i, dom.d)
             ext = extended_domain(dom)
             try:
                 cd = _decompose(dom, layer.domain)
@@ -670,11 +663,11 @@ def verify_lemmas(s: bytes) -> LemmaReport:
             c_tile.record(ok, "i={} d={}", dom.i, dom.d)
             # budget.total >= ceil(k/2) + 1, or boundary_budget would have raised
             c_count.record(lz.boundaries_in(ext) >= budget.total, "i={} d={}", dom.i, dom.d)
+        failures = _empty_window_failures(layer, lz, i)
+        c_window.record_many(top - len(row), failures, "i={} d={}", i, e)
         # An empty domain's extended domain is its window and needs
         # ceil(0/2) + 1 = 1 boundary: the domain-window-boundary predicate.
-        c_count.record_many(
-            m - i + 1 - len(row), tail_failures[i - 1], "i={} d={}", i, len(row) + 1
-        )
+        c_count.record_many(top - len(row), failures, "i={} d={}", i, e)
 
     c = checks["partition-phrase-bound"]
     parts = _dom1_partition(lf)

@@ -202,6 +202,27 @@ class TestLzCommand:
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "command, n, err",
+    [
+        ("lyndon", 513, "error: oracle limited to 512 symbols, got 513\n"),
+        ("lz", 10_001, "error: oracle limited to 10000 symbols, got 10001\n"),
+    ],
+    ids=["lyndon", "lz"],
+)
+def test_oracle_refuses_before_parsing(capsys, monkeypatch, command, n, err):
+    # Past its bound the oracle refuses before the fast parse runs, so the
+    # usage error costs no parse of the input.
+    def parse(s):
+        pytest.fail(f"parsed {len(s)} bytes that the oracle refuses")
+
+    monkeypatch.setattr("lynlz.cli.lyndon_factorize", parse)
+    monkeypatch.setattr("lynlz.cli.lz_factorize", parse)
+    code = main([command, "--oracle-check", "--text", "a" * n])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
 class TestDomainsCommand:
     def test_json_counts(self, capsys):
         code, out = run(capsys, "domains", "--text", FIG_TEXT, "--format", "json")

@@ -675,6 +675,27 @@ class TestDenseReference:
         assert {c.name: c for c in dense.checks}["factor-order-dominates-runs"].failures > 0
         assert _verdicts(sparse) == _verdicts(dense)
 
+    @pytest.mark.parametrize("s", [generate_family(6), FIGURE_STRING, ZIMIN_5])
+    def test_budget_defect_on_one_domain(self, monkeypatch, s):
+        # A domain whose decomposition fails its budget skips the checks that
+        # read the budget, but the per-domain checks that do not must still
+        # count it, as the dense reference does.
+        rows = DomainLayer(lyndon_factorize(s)).rows
+        nonempty = [dom for row in rows for dom in row]
+        victim = nonempty[len(nonempty) // 2]
+
+        def budget(cd):
+            if cd.root == victim:
+                raise IntegrityError("injected")
+            return boundary_budget(cd)
+
+        monkeypatch.setattr("lynlz.domains.boundary_budget", budget)
+        monkeypatch.setattr(dense_reference, "boundary_budget", budget)
+        sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
+        failed = {c.name: c.failures for c in dense.checks if c.failures}
+        assert failed == {"budget-identities": 1}
+        assert _verdicts(sparse) == _verdicts(dense)
+
     @pytest.mark.parametrize(
         "runs, i",
         [
