@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .bounds import (
     SEARCH_LIMIT,
@@ -89,32 +89,8 @@ def _group_dict(g: PGroup) -> dict:
     }
 
 
-_ENCODER = json.JSONEncoder(indent=2)
-
-
 def _emit_json(obj: dict) -> None:
-    """Print ``json.dumps(obj, indent=2)`` for a non-empty ``obj``, one value at a time.
-
-    An iterator value (a generator or ``map``) is printed as a JSON list
-    while it is walked, so only one of its items is alive at once.  JSON
-    strings never hold a raw newline, so indenting every line of an encoded
-    value nests it at its depth.
-    """
-    write = sys.stdout.write
-    encode = _ENCODER.encode
-    sep = "{"
-    for key, value in obj.items():
-        write(f"{sep}\n  {encode(key)}: ")
-        sep = ","
-        if not isinstance(value, Iterator):
-            write(encode(value).replace("\n", "\n  "))
-            continue
-        item_sep = "["
-        for item in value:
-            write(item_sep + "\n    " + encode(item).replace("\n", "\n    "))
-            item_sep = ","
-        write("[]" if item_sep == "[" else "\n  ]")
-    write("\n}\n")
+    print(json.dumps(obj, indent=2))
 
 
 def _emit_tsv(rows: Iterable[list[object]]) -> None:
@@ -200,16 +176,17 @@ def _cmd_domains(args: argparse.Namespace) -> int:
     s = _read_input(args)
     lf = lyndon_factorize(s)
     layer = DomainLayer(lf)
-    domains = layer.domains()  # a generator, walked once by each format
+    # Non-empty domains only: run i's orders from len(layer.rows[i - 1]) + 1 on are empty.
+    domains = [dom for row in layer.rows for dom in row]
     tandems, groups = layer.tandems, layer.groups
     if args.format == "json":
         _emit_json(
             {
                 "input_len": len(s),
                 "m": lf.m,
-                "domains": map(_domain_dict, domains),
-                "tandems": map(_tandem_dict, tandems),
-                "groups": map(_group_dict, groups),
+                "domains": [_domain_dict(dom) for dom in domains],
+                "tandems": [_tandem_dict(td) for td in tandems],
+                "groups": [_group_dict(g) for g in groups],
             }
         )
     elif args.format == "tsv":
@@ -219,9 +196,8 @@ def _cmd_domains(args: argparse.Namespace) -> int:
     else:
         print(f"input length {len(s)}, m = {lf.m}")
         for dom in domains:
-            body = "empty" if dom.is_empty else f"[{dom.span.start}..{dom.span.end}]"
             print(
-                f"  domain(i={dom.i}, d={dom.d}): {body}, window "
+                f"  domain(i={dom.i}, d={dom.d}): [{dom.span.start}..{dom.span.end}], window "
                 f"[{dom.associated.start}..{dom.associated.end}]"
             )
         for td in tandems:

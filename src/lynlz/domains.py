@@ -13,7 +13,7 @@ one of those guarantees on a concrete input string.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -238,21 +238,6 @@ class DomainLayer:
         row = self.rows[i - 1]
         return row[d - 1] if d <= len(row) else _domain(self.lf, i, d, self.lf.runs[i - 1].start)
 
-    def domains(self) -> Iterator[Domain]:
-        """Every valid (i, d) domain, ascending i then d, empty ones included.
-
-        A generator: the empty domains, about m^2 / 2 of them, are made one
-        at a time as the caller walks it.
-        """
-        runs = self.lf.runs
-        m = self.lf.m
-        for i, row in enumerate(self.rows, 1):
-            yield from row
-            a_start = runs[i - 1].start
-            span = Span.empty(a_start)  # one span shared by the run's empty domains
-            for d in range(len(row) + 1, m - i + 2):
-                yield Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end))
-
 
 def _make_group(members: tuple[Domain, ...]) -> PGroup:
     """The group of ``members``: its window is the first member's window less the last one's runs."""
@@ -267,8 +252,20 @@ def _make_group(members: tuple[Domain, ...]) -> PGroup:
 
 
 def all_domains(lf: LyndonFactorization) -> list[Domain]:
-    """Every valid (i, d) domain, ascending i then d."""
-    return list(DomainLayer(lf).domains())
+    """Every valid (i, d) domain, ascending i then d, empty ones included.
+
+    Each run's empty domains, orders e_i .. m - i + 1, are built here from
+    the runs, sharing one empty span per run.
+    """
+    runs, m = lf.runs, lf.m
+    out: list[Domain] = []
+    for i, row in enumerate(DomainLayer(lf).rows, 1):
+        out.extend(row)
+        a_start = runs[i - 1].start
+        span = Span.empty(a_start)
+        for d in range(len(row) + 1, m - i + 2):
+            out.append(Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end)))
+    return out
 
 
 def find_tandem_domains(lf: LyndonFactorization) -> list[PGroup]:

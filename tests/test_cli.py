@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMMANDS, FIGURE_STRING
+from conftest import COMMANDS, FIGURE_STRING, strings
+from test_cli_digests import FILE_BYTES, digest_texts
 from lynlz import (
+    Domain,
     IntegrityError,
     LemmaCheck,
     LemmaReport,
+    Span,
     all_domains,
     exhaustive_search,
     find_p_groups,
@@ -223,18 +226,48 @@ def test_oracle_refuses_before_parsing(capsys, monkeypatch, command, n, err):
     assert (code, captured.out, captured.err) == (2, "", err)
 
 
+def _domains_report(fmt: str, text: bytes) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["domains", "--format", fmt, "--text", text.decode("latin-1")]) == 0
+    return out.getvalue()
+
+
+def _dense_listing(lf, listed: list[Domain]) -> list[Domain]:
+    """Every (i, d) domain, rebuilt from a report's non-empty ones and the runs.
+
+    Run i's listed orders must be exactly 1 .. e_i - 1.  Each order d >= e_i
+    is the empty domain anchored at F_i, with window [F_i.start ..
+    F_{i+d-1}.end].
+    """
+    runs, m = lf.runs, lf.m
+    dense: list[Domain] = []
+    for i in range(1, m + 1):
+        row = [dom for dom in listed if dom.i == i]
+        assert [dom.d for dom in row] == list(range(1, len(row) + 1))
+        dense += row
+        start = runs[i - 1].start
+        dense += [
+            Domain(i=i, d=d, j=i, span=Span.empty(start), associated=Span(start, runs[i + d - 2].end))
+            for d in range(len(row) + 1, m - i + 2)
+        ]
+    assert sum(1 for dom in dense if not dom.is_empty) == len(listed)
+    return dense
+
+
 class TestDomainsCommand:
     def test_json_counts(self, capsys):
         code, out = run(capsys, "domains", "--text", FIG_TEXT, "--format", "json")
         report = json.loads(out)
-        assert len(report["domains"]) == 15
+        # Only the 6 non-empty domains of the 15 (i, d) are listed.
+        assert len(report["domains"]) == 6
         assert len(report["tandems"]) == 4
         assert len(report["groups"]) == 3
-        nonempty = [d for d in report["domains"] if not d["empty"]]
-        assert {(d["i"], d["d"]) for d in nonempty} == {
+        assert not any(d["empty"] for d in report["domains"])
+        assert {(d["i"], d["d"]) for d in report["domains"]} == {
             (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1),
         }
-        assert all("empty" in d["span"] or d["span"]["start"] <= d["span"]["end"] for d in report["domains"])
+        assert all(d["span"]["start"] <= d["span"]["end"] for d in report["domains"])
 
     @pytest.mark.parametrize(
         "text, tandems",
@@ -242,13 +275,13 @@ class TestDomainsCommand:
         ids=["family-12", "no-tandems-or-groups", "empty"],
     )
     def test_json_streamed_as_whole_document(self, capsys, text, tandems):
-        # The report is written one record at a time; its bytes must be those
-        # of the whole document dumped at once, empty lists included.
+        # The report's bytes are those of the whole document dumped at once,
+        # empty lists included.
         lf = lyndon_factorize(text)
         doc = {
             "input_len": len(text),
             "m": lf.m,
-            "domains": [_domain_dict(dom) for dom in all_domains(lf)],
+            "domains": [_domain_dict(dom) for dom in all_domains(lf) if not dom.is_empty],
             "tandems": [_tandem_dict(td) for td in find_tandem_domains(lf)],
             "groups": [_group_dict(g) for g in find_p_groups(lf)],
         }
@@ -256,6 +289,38 @@ class TestDomainsCommand:
         code, out = run(capsys, "domains", "--text", text.decode(), "--format", "json")
         assert code == 0
         assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_reports_rebuild_dense_listing(self):
+        # The json and tsv reports list only the non-empty domains; with the
+        # runs they determine every (i, d) domain that all_domains lists.
+        texts = [*digest_texts().values(), FILE_BYTES, *strings(b"ab", 10)]
+        for text in texts:
+            lf = lyndon_factorize(text)
+            runs = lf.runs
+            listed = [
+                Domain(
+                    i=rec["i"], d=rec["d"], j=rec["j"],
+                    span=Span(rec["span"]["start"], rec["span"]["end"]),
+                    associated=Span(rec["associated"]["start"], rec["associated"]["end"]),
+                )
+                for rec in json.loads(_domains_report("json", text))["domains"]
+            ]
+            assert _dense_listing(lf, listed) == all_domains(lf), text
+            listed = []
+            for line in _domains_report("tsv", text).splitlines():
+                kind, i, d, j, _, start, end = line.split("\t")
+                if kind != "domain":
+                    continue
+                i, d, j, start = int(i), int(d), int(j), int(start)
+                # A non-empty domain's window starts at its anchor, its span's start.
+                length = runs[i + d - 2].end - runs[i - 1].start
+                listed.append(Domain(i, d, j, Span(start, int(end)), Span(start, start + length)))
+            assert _dense_listing(lf, listed) == all_domains(lf), text
+
+    def test_json_size_guard(self):
+        # Family k=40 has 338,253 (i, d) domains, 41 of them non-empty; the
+        # dense listing wrote 113.7 MB of JSON.
+        assert len(_domains_report("json", generate_family(40)).encode()) < 100_000
 
     def test_json_memory_bounded(self):
         # Family k=8 has 1,225 domains; as one document their dicts took about

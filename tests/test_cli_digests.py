@@ -9,6 +9,9 @@ Run this file as a script to rewrite the JSON from the current code:
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
+It prints the names of the cases whose digest changed, and of the cases
+added or dropped since the file it rewrites.
+
 Help text wraps at the terminal width, which argparse reads from the
 ``COLUMNS`` environment variable, so ``digest`` sets it to ``COLUMNS``.
 """
@@ -47,7 +50,7 @@ COLUMNS = "80"
 FILE_BYTES = bytes(range(0, 256, 17)) + b"ab\\ba\x7f\r\n"
 
 
-def _texts() -> dict[str, bytes]:
+def digest_texts() -> dict[str, bytes]:
     texts = {"figure": FIGURE_STRING, "banana": b"banana", "empty": b""}
     # Groups whose leftmost member is non-empty, and groups up to p = 5.
     texts["group-top"] = GROUP_TOP_STRING
@@ -63,7 +66,7 @@ def _texts() -> dict[str, bytes]:
 def cases(input_file: str) -> dict[str, list[str]]:
     """Case name -> argv; ``input_file`` is a file holding ``FILE_BYTES``."""
     out: dict[str, list[str]] = {}
-    inputs = {name: ["--text", s.decode("latin-1")] for name, s in _texts().items()}
+    inputs = {name: ["--text", s.decode("latin-1")] for name, s in digest_texts().items()}
     inputs["file"] = ["--file", input_file]
     for command in ("lyndon", "lz", "domains", "verify", "partition"):
         for name, source in inputs.items():
@@ -178,4 +181,14 @@ def test_cli_output_matches_pinned_digests():
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    pinned = json.loads(DIGESTS.read_text())
+    current = digests()
+    DIGESTS.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n")
+    for label, names in (
+        ("changed", [name for name in current.keys() & pinned.keys() if current[name] != pinned[name]]),
+        ("added", current.keys() - pinned.keys()),
+        ("dropped", pinned.keys() - current.keys()),
+    ):
+        print(f"{label}: {len(names)}")
+        for name in sorted(names):
+            print(f"  {name}")
