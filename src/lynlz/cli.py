@@ -4,6 +4,9 @@ Subcommands map one-to-one onto the library: ``lyndon``, ``lz``, ``domains``,
 ``canonical``, ``verify``, ``family``, ``search`` and ``partition``.  Exit
 codes: 0 success / all checks pass, 1 a check failed (witness on stdout) or a
 ``defect:`` line on stderr, 2 usage or input error (``error:`` on stderr).
+
+Each handler imports the ``domains`` and ``bounds`` names it uses itself, so
+``lyndon`` and ``lz`` load neither module.
 """
 
 from __future__ import annotations
@@ -14,30 +17,15 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-from .bounds import (
-    SEARCH_LIMIT,
-    exhaustive_search,
-    expected_counts,
-    expected_lz_phrases,
-    extdom_partition,
-    generate_family,
-    iter_search,
-)
-from .domains import (
-    Domain,
-    DomainLayer,
-    PGroup,
-    boundary_budget,
-    canonical_decomposition,
-    compute_domain,
-    extended_domain,
-    verify_lemmas,
-)
 from .errors import IntegrityError
 from .lyndon import lyndon_factorize, oracle_lyndon_dp
 from .lz import lz_factorize, oracle_lz_naive
 from .text import Span
+
+if TYPE_CHECKING:
+    from .domains import Domain, PGroup
 
 # render_bytes' escapes: every byte outside printable ASCII, and the backslash.
 _ESCAPES = {b: f"\\x{b:02x}" for b in range(256) if not 0x20 <= b < 0x7F or b == 0x5C}
@@ -56,6 +44,8 @@ def _span_dict(span: Span) -> dict:
 
 
 def _domain_dict(dom: Domain) -> dict:
+    from .domains import extended_domain
+
     return {
         "i": dom.i,
         "d": dom.d,
@@ -173,6 +163,8 @@ def _cmd_lz(args: argparse.Namespace) -> int:
 
 
 def _cmd_domains(args: argparse.Namespace) -> int:
+    from .domains import DomainLayer
+
     s = _read_input(args)
     lf = lyndon_factorize(s)
     layer = DomainLayer(lf)
@@ -208,6 +200,8 @@ def _cmd_domains(args: argparse.Namespace) -> int:
 
 
 def _cmd_canonical(args: argparse.Namespace) -> int:
+    from .domains import PGroup, boundary_budget, canonical_decomposition, compute_domain
+
     s = _read_input(args)
     lf = lyndon_factorize(s)
     root = compute_domain(lf, args.run, args.order)
@@ -247,6 +241,8 @@ def _cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .domains import verify_lemmas
+
     s = _read_input(args)
     report = verify_lemmas(s)
     m, z = report.m, report.z
@@ -285,6 +281,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .bounds import expected_counts, expected_lz_phrases, generate_family
+
     s = generate_family(args.k)  # ValueError below k = 0 or above FAMILY_LIMIT bytes
     counts = expected_counts(args.k) if args.k >= 2 or args.check else None  # ValueError below k = 2
     status = 0
@@ -324,6 +322,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from .bounds import extdom_partition
+    from .domains import extended_domain
+
     s = _read_input(args)
     part = extdom_partition(s)
     m = part.domains[-1].i  # the partition ends at run i_t = m
@@ -357,7 +358,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    sweep = {key: getattr(args, key) for key in ("dedupe", "check_lemmas", "jobs", "limit")}
+    from .bounds import exhaustive_search, iter_search
+
+    # An unset --jobs or --limit is None, and is left out: the sweep's own default applies.
+    keys = ("dedupe", "check_lemmas", "jobs", "limit")
+    sweep = {key: value for key in keys if (value := getattr(args, key)) is not None}
     if args.format == "tsv":
         records = iter_search(args.sigma, args.max_len, **sweep)
         _emit_tsv([args.sigma, len(r.string), render_bytes(r.string), r.m, r.z, 2 * r.z - r.m] for r in records)
@@ -426,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--oracle-check", action="store_true", help="cross-check against the naive greedy oracle")
 
-    p = add("domains", "all domains, tandem domains and groups", _cmd_domains)
+    p = add("domains", "non-empty domains, tandem domains and groups", _cmd_domains)
     add_io(p)
 
     p = add("canonical", "canonical subdomain decomposition of one domain", _cmd_canonical)
@@ -447,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
     p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: CPUs)")
-    p.add_argument("--limit", type=int, default=SEARCH_LIMIT, help="refuse to enumerate more strings than this")
+    p.add_argument("--jobs", type=int, help="worker processes (default: CPUs)")
+    p.add_argument("--limit", type=int, help="refuse to enumerate more strings than this")
     p.add_argument("--format", choices=("human", "json", "tsv"), default="human")
 
     p = add("partition", "tile the input into order-1 extended domains", _cmd_partition)

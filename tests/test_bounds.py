@@ -145,20 +145,70 @@ class TestRecords:
         assert "dataclasses" not in imported
 
 
+# Runs `code` in a fresh interpreter, with the command line's output
+# discarded, and prints the modules it loaded that start with a prefix.
+_PROBE = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+sys.stdout = io.StringIO()
+{code}
+loaded = set(sys.modules) - before
+print(sorted(m for m in loaded if m.startswith(tuple(sys.argv[2:]))), file=sys.__stdout__)
+"""
+
+
+def loaded_modules(code: str, *prefixes: str) -> list[str]:
+    """The modules starting with one of ``prefixes`` that ``code`` loads in a fresh interpreter."""
+    src = str(Path(lynlz.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(code=code), src, *prefixes],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return ast.literal_eval(proc.stdout)
+
+
 class TestImportCost:
     def test_import_loads_no_multiprocessing(self):
-        # Only `search --jobs N` with N > 1 opens a pool, and only the CLI
-        # parses arguments and writes JSON; the import must not pay for them.
-        src = str(Path(lynlz.__file__).resolve().parent.parent)
-        skipped = ("multiprocessing", "argparse", "json", "lynlz.cli")
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import lynlz; "
-            f"print(sorted(m for m in set(sys.modules) - before if m.startswith({skipped!r})))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
-        )
-        assert proc.stdout == "[]\n"
+        # Only `search --jobs N` with N > 1 opens a pool, only the CLI parses
+        # arguments and writes JSON, and `domains` and `bounds` load on the
+        # first access to one of their names: the import loads the parses alone.
+        loaded = loaded_modules("import lynlz", "lynlz", "multiprocessing", "argparse", "json")
+        assert loaded == ["lynlz", "lynlz.errors", "lynlz.lyndon", "lynlz.lz", "lynlz.text"]
+
+    @pytest.mark.parametrize(
+        "name, modules",
+        [
+            ("verify_lemmas", ["lynlz.domains"]),
+            ("check_theorem", ["lynlz.bounds", "lynlz.domains"]),
+            ("domains.CHECK_NAMES", ["lynlz.domains"]),
+            ("bounds.SEARCH_LIMIT", ["lynlz.bounds", "lynlz.domains"]),
+        ],
+    )
+    def test_first_access_loads_its_module(self, name, modules):
+        code = f"import lynlz; lynlz.{name}"
+        assert loaded_modules(code, "lynlz.domains", "lynlz.bounds") == modules
+
+    @pytest.mark.parametrize("command", ["lyndon", "lz"])
+    def test_parse_commands_load_neither_domains_nor_bounds(self, command):
+        code = f"from lynlz.cli import main; main([{command!r}, '--text', 'abaab'])"
+        assert loaded_modules(code, "lynlz.domains", "lynlz.bounds") == []
+
+    def test_verify_loads_domains_only(self):
+        code = "from lynlz.cli import main; main(['verify', '--text', 'abaab'])"
+        assert loaded_modules(code, "lynlz.domains", "lynlz.bounds", "multiprocessing") == ["lynlz.domains"]
+
+    def test_dir_lists_every_public_name(self):
+        # dir() lists the names not loaded yet, and loads nothing.
+        code = "import lynlz; assert set(lynlz.__all__) <= set(dir(lynlz))"
+        assert loaded_modules(code, "lynlz.domains", "lynlz.bounds") == []
+
+    def test_names_are_the_modules_own(self):
+        from lynlz import bounds, domains
+
+        assert lynlz.verify_lemmas is domains.verify_lemmas
+        assert lynlz.check_theorem is bounds.check_theorem
+        assert {"verify_lemmas", "check_theorem"} <= vars(lynlz).keys()  # bound on first access
 
 
 class TestExports:
@@ -381,8 +431,11 @@ class TestSearch:
         assert b"b" not in [r.string for r in records]
         assert b"bb" not in [r.string for r in records]
 
-    def test_sweep_defaults_stated_once(self):
-        # Both sweeps and `search` default to the CPU count and to SEARCH_LIMIT.
+    def test_sweep_defaults_stated_once(self, capsys):
+        # Both sweeps default to the CPU count and to SEARCH_LIMIT.  `search`
+        # leaves --jobs and --limit unset unless given, so the sweep's own
+        # defaults apply: binary lengths 1..23 hold 2^24 - 2 strings, past
+        # the cap, and the refusal names SEARCH_LIMIT.
         def defaults(fn):
             params = inspect.signature(fn).parameters.values()
             return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
@@ -391,8 +444,15 @@ class TestSearch:
         assert defaults(iter_search)["jobs"] is None
         assert defaults(iter_search)["limit"] == SEARCH_LIMIT
         args = build_parser().parse_args(["search", "--sigma", "2", "--max-len", "1"])
-        assert args.limit == SEARCH_LIMIT
-        assert args.jobs is None
+        assert (args.jobs, args.limit) == (None, None)
+        assert 2**23 - 2 <= SEARCH_LIMIT < 2**24 - 2
+        for fmt in ("human", "json", "tsv"):
+            assert main(["search", "--sigma", "2", "--max-len", "23", "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: enumerating lengths 1..23 over 2 letters exceeds the cap of {SEARCH_LIMIT} strings\n"
+            )
 
     def test_budget_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -274,7 +274,7 @@ class TestDomainsCommand:
         [(generate_family(12), 1), (b"ab", 0), (b"", 0)],
         ids=["family-12", "no-tandems-or-groups", "empty"],
     )
-    def test_json_streamed_as_whole_document(self, capsys, text, tandems):
+    def test_json_is_whole_document(self, capsys, text, tandems):
         # The report's bytes are those of the whole document dumped at once,
         # empty lists included.
         lf = lyndon_factorize(text)
@@ -323,8 +323,9 @@ class TestDomainsCommand:
         assert len(_domains_report("json", generate_family(40)).encode()) < 100_000
 
     def test_json_memory_bounded(self):
-        # Family k=8 has 1,225 domains; as one document their dicts took about
-        # 3.1 MB at peak, streamed they take about 0.3 MB.
+        # Family k=8 has 741 (i, d) domains, 9 of them non-empty.  The report
+        # lists those 9, 1 tandem and 1 group as one document, about 0.05 MB
+        # at peak.
         text = generate_family(8).decode()
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
@@ -412,7 +413,7 @@ class TestVerifyCommand:
             z=1,
             checks=(LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=1 z=1"),),
         )
-        monkeypatch.setattr("lynlz.cli.verify_lemmas", lambda s: failing)
+        monkeypatch.setattr("lynlz.domains.verify_lemmas", lambda s: failing)
         code = main(["verify", "--text", "x"])
         captured = capsys.readouterr()
         assert code == 1
@@ -432,7 +433,7 @@ class TestFamilyCommand:
 
     @pytest.mark.parametrize("fmt", ["human", "json", "tsv"])
     def test_phrase_mismatch_fails_check(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr("lynlz.cli.expected_lz_phrases", lambda k: [])
+        monkeypatch.setattr("lynlz.bounds.expected_lz_phrases", lambda k: [])
         code, out = run(capsys, "family", "--k", "3", "--check", "--format", fmt)
         assert code == 1
         if fmt == "human":
