@@ -58,17 +58,6 @@ def _domain_dict(dom: Domain) -> dict:
     }
 
 
-def _tandem_dict(td: PGroup) -> dict:
-    inner, outer = td.members
-    return {
-        "i": td.i,
-        "d": td.d,
-        "inner": {"i": inner.i, "d": inner.d},
-        "outer": {"i": outer.i, "d": outer.d},
-        "associated": _span_dict(td.associated),
-    }
-
-
 def _group_dict(g: PGroup) -> dict:
     return {
         "i": g.i,
@@ -170,21 +159,21 @@ def _cmd_domains(args: argparse.Namespace) -> int:
     layer = DomainLayer(lf)
     # Non-empty domains only: run i's orders from len(layer.rows[i - 1]) + 1 on are empty.
     domains = [dom for row in layer.rows for dom in row]
-    tandems, groups = layer.tandems, layer.groups
+    # A tandem is the p = 2 case of a group, and is rendered as one.
+    grouped = [("tandem", td) for td in layer.tandems] + [("group", g) for g in layer.groups]
     if args.format == "json":
         _emit_json(
             {
                 "input_len": len(s),
                 "m": lf.m,
                 "domains": [_domain_dict(dom) for dom in domains],
-                "tandems": [_tandem_dict(td) for td in tandems],
-                "groups": [_group_dict(g) for g in groups],
+                "tandems": [_group_dict(td) for td in layer.tandems],
+                "groups": [_group_dict(g) for g in layer.groups],
             }
         )
     elif args.format == "tsv":
         _emit_tsv(["domain", dom.i, dom.d, dom.j, dom.size, dom.span.start, dom.span.end] for dom in domains)
-        _emit_tsv(["tandem", td.i, td.d, "", "", td.associated.start, td.associated.end] for td in tandems)
-        _emit_tsv(["group", g.i, g.d, g.p, "", g.associated.start, g.associated.end] for g in groups)
+        _emit_tsv([kind, g.i, g.d, g.p, "", g.associated.start, g.associated.end] for kind, g in grouped)
     else:
         print(f"input length {len(s)}, m = {lf.m}")
         for dom in domains:
@@ -192,10 +181,8 @@ def _cmd_domains(args: argparse.Namespace) -> int:
                 f"  domain(i={dom.i}, d={dom.d}): [{dom.span.start}..{dom.span.end}], window "
                 f"[{dom.associated.start}..{dom.associated.end}]"
             )
-        for td in tandems:
-            print(f"  tandem(i={td.i}, d={td.d}): window [{td.associated.start}..{td.associated.end}]")
-        for g in groups:
-            print(f"  group(i={g.i}, p={g.p}, d={g.d}): window [{g.associated.start}..{g.associated.end}]")
+        for kind, g in grouped:
+            print(f"  {kind}(i={g.i}, p={g.p}, d={g.d}): window [{g.associated.start}..{g.associated.end}]")
     return 0
 
 

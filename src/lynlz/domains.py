@@ -252,20 +252,9 @@ def _make_group(members: tuple[Domain, ...]) -> PGroup:
 
 
 def all_domains(lf: LyndonFactorization) -> list[Domain]:
-    """Every valid (i, d) domain, ascending i then d, empty ones included.
-
-    Each run's empty domains, orders e_i .. m - i + 1, are built here from
-    the runs, sharing one empty span per run.
-    """
-    runs, m = lf.runs, lf.m
-    out: list[Domain] = []
-    for i, row in enumerate(DomainLayer(lf).rows, 1):
-        out.extend(row)
-        a_start = runs[i - 1].start
-        span = Span.empty(a_start)
-        for d in range(len(row) + 1, m - i + 2):
-            out.append(Domain(i=i, d=d, j=i, span=span, associated=Span(a_start, runs[i + d - 2].end)))
-    return out
+    """Every valid (i, d) domain, ascending i then d, empty ones included."""
+    layer = DomainLayer(lf)
+    return [layer.domain(i, d) for i in range(1, lf.m + 1) for d in range(1, lf.m - i + 2)]
 
 
 def find_tandem_domains(lf: LyndonFactorization) -> list[PGroup]:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COMMANDS, FIGURE_STRING, strings
+from conftest import COMMANDS, FIGURE_STRING, GROUP_BOTTOM_STRING, strings
 from test_cli_digests import FILE_BYTES, digest_texts
 from lynlz import (
     Domain,
+    DomainLayer,
     IntegrityError,
     LemmaCheck,
     LemmaReport,
@@ -38,7 +40,6 @@ from lynlz.domains import CHECK_NAMES
 from lynlz.cli import (
     _domain_dict,
     _group_dict,
-    _tandem_dict,
     build_parser,
     main,
     render_bytes,
@@ -282,13 +283,33 @@ class TestDomainsCommand:
             "input_len": len(text),
             "m": lf.m,
             "domains": [_domain_dict(dom) for dom in all_domains(lf) if not dom.is_empty],
-            "tandems": [_tandem_dict(td) for td in find_tandem_domains(lf)],
+            "tandems": [_group_dict(td) for td in find_tandem_domains(lf)],
             "groups": [_group_dict(g) for g in find_p_groups(lf)],
         }
         assert (len(doc["tandems"]), len(doc["groups"])) == (tandems, tandems)
         code, out = run(capsys, "domains", "--text", text.decode(), "--format", "json")
         assert code == 0
         assert out == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("text", [FIGURE_STRING, GROUP_BOTTOM_STRING], ids=["figure", "group-bottom"])
+    def test_tandems_render_as_groups(self, text):
+        # A tandem is the p = 2 case of a group, and every format lays it out as one.
+        layer = DomainLayer(lyndon_factorize(text))
+        report = json.loads(_domains_report("json", text))
+        group_keys = set(report["groups"][0])
+        assert len(report["tandems"]) == len(layer.tandems) > 0
+        for rec, td in zip(report["tandems"], layer.tandems):
+            assert set(rec) == group_keys and rec["p"] == 2
+            assert [(m["i"], m["d"]) for m in rec["members"]] == [(dom.i, dom.d) for dom in td.members]
+        rows = [line.split("\t") for line in _domains_report("tsv", text).splitlines()]
+        grouped = [row for row in rows if row[0] in ("tandem", "group")]
+        assert len(grouped) == len(layer.tandems) + len(layer.groups)
+        assert all(len(row) == 7 for row in grouped)
+        assert [int(row[3]) for row in grouped] == [g.p for g in layer.tandems + layer.groups]
+        lines = [line for line in _domains_report("human", text).splitlines() if "domain(" not in line]
+        pattern = re.compile(r"  (tandem|group)\(i=\d+, p=\d+, d=\d+\): window \[\d+\.\.\d+\]")
+        assert len(lines) == 1 + len(grouped)  # the header line, then one line per row
+        assert all(pattern.fullmatch(line) for line in lines[1:])
 
     def test_reports_rebuild_dense_listing(self):
         # The json and tsv reports list only the non-empty domains; with the

@@ -20,6 +20,7 @@ from conftest import (
     unit_run_domain,
 )
 import dense_reference
+import lynlz
 from dense_reference import dense_groups, dense_table, dense_tandems, dense_verify_lemmas
 from lynlz import (
     CanonicalDecomposition,
@@ -53,6 +54,34 @@ from lynlz.domains import (
 @pytest.fixture
 def fig_lf():
     return lyndon_factorize(FIGURE_STRING)
+
+
+# Each record type and the one function allowed to call its constructor.
+_CONSTRUCTORS = {"Domain": "_domain", "PGroup": "_make_group"}
+
+
+def _constructor_calls(node: ast.AST, enclosing: str | None = None):
+    """(record, innermost enclosing function) for every record constructor call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = child.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name in _CONSTRUCTORS:
+                yield name, enclosing
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else enclosing
+        yield from _constructor_calls(child, inner)
+
+
+def test_one_constructor_per_record():
+    # Every Domain comes from _domain and every PGroup from _make_group, so
+    # a rule for building either one lives in one place.
+    calls = [
+        (path.name, record, enclosing)
+        for path in sorted(Path(lynlz.__file__).parent.glob("*.py"))
+        for record, enclosing in _constructor_calls(ast.parse(path.read_text()))
+    ]
+    assert {record for _, record, _ in calls} == set(_CONSTRUCTORS)
+    assert [call for call in calls if call[2] != _CONSTRUCTORS[call[1]]] == []
 
 
 class TestComputeDomain:
