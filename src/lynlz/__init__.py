@@ -19,15 +19,11 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         (
-            "ExtdomPartition",
             "FamilyCounts",
             "SearchRecord",
-            "TheoremReport",
-            "check_theorem",
             "exhaustive_search",
             "expected_counts",
             "expected_lz_phrases",
-            "extdom_partition",
             "generate_family",
             "iter_search",
         ),
@@ -39,13 +35,17 @@ _LAZY = {
             "CanonicalDecomposition",
             "Domain",
             "DomainLayer",
+            "ExtdomPartition",
             "LemmaCheck",
             "LemmaReport",
             "PGroup",
+            "TheoremReport",
             "all_domains",
             "boundary_budget",
             "canonical_decomposition",
+            "check_theorem",
             "compute_domain",
+            "extdom_partition",
             "extended_domain",
             "find_p_groups",
             "find_tandem_domains",

@@ -1,6 +1,7 @@
-"""Size bounds: the m < 2z check, the extended-domain partition, the
-lower-bound string family with its closed-form counts, and the exhaustive
-search for extremal differences and ratios.
+"""Size bounds beyond m < 2z: the lower-bound string family with its
+closed-form counts, and the exhaustive search for extremal differences and
+ratios.  The m < 2z check and the order-1 partition behind it are in
+``domains``, which a sweep loads only to check the lemmas.
 """
 
 from __future__ import annotations
@@ -10,49 +11,11 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .domains import Domain, _dom1_partition, verify_lemmas
 from .errors import IntegrityError
 from .lyndon import lyndon_factorize
 from .lz import lz_factorize
 
 _R = TypeVar("_R")
-
-
-class TheoremReport(NamedTuple):
-    """Verdict of the run-count vs phrase-count bound for one string."""
-
-    m: int
-    z: int
-    t: int  # parts in the extended-domain partition
-    passes: bool  # m < 2z
-
-
-class ExtdomPartition(NamedTuple):
-    """Tiling of the text by order-1 extended domains, stripped right to left."""
-
-    domains: tuple[Domain, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.domains)
-
-
-def extdom_partition(s: bytes) -> ExtdomPartition:
-    """Partition ``s`` as extdom_1(F_{i_1}) ... extdom_1(F_{i_t}) with i_t = m."""
-    if not s:
-        raise ValueError("partition undefined for empty input")
-    return ExtdomPartition(domains=tuple(_dom1_partition(lyndon_factorize(s))))
-
-
-def check_theorem(s: bytes) -> TheoremReport:
-    """Compute both factorization sizes and the m < 2z verdict."""
-    if not s:
-        raise ValueError("theorem check undefined for empty input")
-    lf = lyndon_factorize(s)
-    m = lf.m
-    z = lz_factorize(s).z
-    t = len(_dom1_partition(lf))
-    return TheoremReport(m=m, z=z, t=t, passes=m < 2 * z)
 
 
 # Longest family string ``generate_family`` builds: about k^3/2 bytes, so k <= 270.
@@ -175,6 +138,8 @@ def _is_canonical(s: bytes) -> bool:
 
 def _measure(s: bytes, check_lemmas: bool) -> SearchRecord:
     if check_lemmas:
+        from .domains import verify_lemmas  # loaded only here: a plain sweep skips it
+
         report = verify_lemmas(s)
         m, z = report.m, report.z
     else:
@@ -228,19 +193,6 @@ def _strings(letters: bytes, n: int, prefix: bytes, dedupe: bool) -> Iterator[by
 _MAX_LEN = 64
 
 
-def _budget(sigma: int, max_len: int, limit: int) -> None:
-    total = 0
-    for n in range(1, max_len + 1):
-        total += sigma**n
-        if total > limit:  # stop here: the full count can have thousands of digits
-            raise ValueError(
-                f"enumerating lengths 1..{max_len} over {sigma} letters"
-                f" exceeds the cap of {limit} strings"
-            )
-        if n > _MAX_LEN:  # and here: with one letter the count is only max_len
-            raise ValueError(f"max length must be <= {_MAX_LEN}")
-
-
 # Most strings one task enumerates.  It bounds the records a task returns, and
 # so the memory of a worker and of the parent, at every job count.
 _TASK_STRINGS = 4096
@@ -277,14 +229,23 @@ def _plan(sigma: int, max_len: int, jobs: int | None, limit: int) -> tuple[list[
     Each length n is split by the shortest prefix p with sigma^(n-p) <= _TASK_STRINGS,
     whatever the job count.  The worker count (None: the CPU count) is clamped
     to the CPU count and the number of tasks, and is at least 1, so an empty
-    sweep, or a job count of 0 or less, runs in process.
+    sweep, or a job count of 0 or less, runs in process.  A sweep past ``limit``
+    strings or _MAX_LEN is refused at the first length that crosses the bound.
     """
     if max_len < 0:
         raise ValueError("max length must be >= 0")
     letters = _alphabet(sigma)
-    _budget(sigma, max_len, limit)
     tasks = []
+    total = 0
     for n in range(1, max_len + 1):
+        total += sigma**n
+        if total > limit:  # stop here: the full count can have thousands of digits
+            raise ValueError(
+                f"enumerating lengths 1..{max_len} over {sigma} letters"
+                f" exceeds the cap of {limit} strings"
+            )
+        if n > _MAX_LEN:  # and here: with one letter the count is only max_len
+            raise ValueError(f"max length must be <= {_MAX_LEN}")
         p = 0
         while sigma ** (n - p) > _TASK_STRINGS:
             p += 1

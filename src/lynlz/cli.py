@@ -309,8 +309,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    from .bounds import extdom_partition
-    from .domains import extended_domain
+    from .domains import extdom_partition, extended_domain
 
     s = _read_input(args)
     part = extdom_partition(s)
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", "enumerate all strings up to a length, track extremes", _cmd_search)
     p.add_argument("--sigma", type=int, required=True, help="alphabet size")
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--dedupe", action="store_true", help="skip relabel-equivalent strings")
+    p.add_argument("--dedupe", action="store_true", help="keep only strings whose letters are a prefix of the alphabet")
     p.add_argument("--check-lemmas", action="store_true", help="run the full verifier per string")
     p.add_argument("--jobs", type=int, help="worker processes (default: CPUs)")
     p.add_argument("--limit", type=int, help="refuse to enumerate more strings than this")

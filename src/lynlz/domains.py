@@ -6,8 +6,10 @@ F_i .. F_{i+d-1}; it is empty when that leftmost occurrence is the trivial
 one.  On top of domains sit tandem domains (two domains sharing an extended
 span), p-groups (chains of such pairs), and the canonical subdomain
 decomposition whose boundary budget bounds from below the number of LZ
-phrase starts inside an extended domain.  ``verify_lemmas`` re-checks every
-one of those guarantees on a concrete input string.
+phrase starts inside an extended domain.  The order-1 extended domains tile
+the text in t parts, so z >= ceil((m + t)/2) and m < 2z: ``extdom_partition``
+builds that tiling and ``check_theorem`` the verdict.  ``verify_lemmas``
+re-checks every one of those guarantees on a concrete input string.
 """
 
 from __future__ import annotations
@@ -368,6 +370,43 @@ def _dom1_partition(lf: LyndonFactorization) -> list[Domain]:
         i = dom.j - 1
     parts.reverse()
     return parts
+
+
+class TheoremReport(NamedTuple):
+    """Verdict of the run-count vs phrase-count bound for one string."""
+
+    m: int
+    z: int
+    t: int  # parts in the extended-domain partition
+    passes: bool  # m < 2z
+
+
+class ExtdomPartition(NamedTuple):
+    """Tiling of the text by order-1 extended domains, stripped right to left."""
+
+    domains: tuple[Domain, ...]
+
+    @property
+    def t(self) -> int:
+        return len(self.domains)
+
+
+def extdom_partition(s: bytes) -> ExtdomPartition:
+    """Partition ``s`` as extdom_1(F_{i_1}) ... extdom_1(F_{i_t}) with i_t = m."""
+    if not s:
+        raise ValueError("partition undefined for empty input")
+    return ExtdomPartition(domains=tuple(_dom1_partition(lyndon_factorize(s))))
+
+
+def check_theorem(s: bytes) -> TheoremReport:
+    """Compute both factorization sizes and the m < 2z verdict."""
+    if not s:
+        raise ValueError("theorem check undefined for empty input")
+    lf = lyndon_factorize(s)
+    m = lf.m
+    z = lz_factorize(s).z
+    t = len(_dom1_partition(lf))
+    return TheoremReport(m=m, z=z, t=t, passes=m < 2 * z)
 
 
 @dataclass

@@ -180,9 +180,9 @@ class TestImportCost:
         "name, modules",
         [
             ("verify_lemmas", ["lynlz.domains"]),
-            ("check_theorem", ["lynlz.bounds", "lynlz.domains"]),
+            ("check_theorem", ["lynlz.domains"]),
             ("domains.CHECK_NAMES", ["lynlz.domains"]),
-            ("bounds.SEARCH_LIMIT", ["lynlz.bounds", "lynlz.domains"]),
+            ("bounds.SEARCH_LIMIT", ["lynlz.bounds"]),
         ],
     )
     def test_first_access_loads_its_module(self, name, modules):
@@ -198,16 +198,36 @@ class TestImportCost:
         code = "from lynlz.cli import main; main(['verify', '--text', 'abaab'])"
         assert loaded_modules(code, "lynlz.domains", "lynlz.bounds", "multiprocessing") == ["lynlz.domains"]
 
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["family", "--k", "3", "--check"], ["lynlz.bounds"]),
+            (["search", "--sigma", "2", "--max-len", "4", "--jobs", "1"], ["lynlz.bounds"]),
+            (
+                ["search", "--sigma", "2", "--max-len", "4", "--jobs", "1", "--check-lemmas"],
+                ["lynlz.bounds", "lynlz.domains"],
+            ),
+            (["partition", "--text", "abaab"], ["lynlz.domains"]),
+            (["domains", "--text", "abaab"], ["lynlz.domains"]),
+            (["canonical", "--text", FIGURE_STRING.decode(), "--run", "4", "--order", "2"], ["lynlz.domains"]),
+        ],
+        ids=["family", "search", "search-check-lemmas", "partition", "domains", "canonical"],
+    )
+    def test_command_loads_what_it_uses(self, argv, modules):
+        # A plain sweep and the family read no domain; the partition reads no sweep.
+        code = f"from lynlz.cli import main; main({argv!r})"
+        assert loaded_modules(code, "lynlz.domains", "lynlz.bounds") == modules
+
     def test_dir_lists_every_public_name(self):
         # dir() lists the names not loaded yet, and loads nothing.
         code = "import lynlz; assert set(lynlz.__all__) <= set(dir(lynlz))"
         assert loaded_modules(code, "lynlz.domains", "lynlz.bounds") == []
 
     def test_names_are_the_modules_own(self):
-        from lynlz import bounds, domains
+        from lynlz import domains
 
         assert lynlz.verify_lemmas is domains.verify_lemmas
-        assert lynlz.check_theorem is bounds.check_theorem
+        assert lynlz.check_theorem is domains.check_theorem
         assert {"verify_lemmas", "check_theorem"} <= vars(lynlz).keys()  # bound on first access
 
 
@@ -359,14 +379,14 @@ class TestComputeOnce:
     def test_measure_reports_size_bound_before_lemmas(self, monkeypatch):
         failed = LemmaCheck(name="size-bound", instances=1, failures=1, counterexample="m=4 z=2")
         bad = LemmaReport(m=4, z=2, checks=(failed,))
-        monkeypatch.setattr("lynlz.bounds.verify_lemmas", lambda s: bad)
+        monkeypatch.setattr("lynlz.domains.verify_lemmas", lambda s: bad)
         with pytest.raises(IntegrityError, match=r"^size bound violated: m=4, z=2, witness b'ab'$"):
             _measure(b"ab", True)
 
     def test_measure_reports_failed_lemmas(self, monkeypatch):
         failed = LemmaCheck(name="tandem-window-boundary", instances=1, failures=1, counterexample="i=1 d=1")
         bad = LemmaReport(m=1, z=1, checks=(LemmaCheck(name="size-bound", instances=1), failed))
-        monkeypatch.setattr("lynlz.bounds.verify_lemmas", lambda s: bad)
+        monkeypatch.setattr("lynlz.domains.verify_lemmas", lambda s: bad)
         with pytest.raises(
             IntegrityError, match=r"^lemma checks failed \(\['tandem-window-boundary'\]\) on witness b'ab'$"
         ):

@@ -55,9 +55,10 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-def test_cli_imports_no_private_names():
-    # The command line reads the library through its public names only.
-    tree = ast.parse((SRC / "lynlz" / "cli.py").read_text())
+@pytest.mark.parametrize("path", sorted((SRC / "lynlz").glob("*.py")), ids=lambda path: path.name)
+def test_modules_import_no_private_names(path):
+    # Each module reads the rest of the package through its public names only.
+    tree = ast.parse(path.read_text())
     imported = [
         alias.name
         for node in ast.walk(tree)
@@ -65,7 +66,8 @@ def test_cli_imports_no_private_names():
         and (node.level > 0 or (node.module or "").split(".")[0] == "lynlz")
         for alias in node.names
     ]
-    assert imported
+    if path.name == "cli.py":  # the command line reads the library through these imports
+        assert imported
     assert [name for name in imported if name.startswith("_")] == []
 
 
