@@ -230,12 +230,12 @@ def _plan(sigma: int, max_len: int, jobs: int | None, limit: int) -> tuple[list[
     whatever the job count.  The worker count (None: the CPU count) is clamped
     to the CPU count and the number of tasks, and is at least 1, so an empty
     sweep, or a job count of 0 or less, runs in process.  A sweep past ``limit``
-    strings or _MAX_LEN is refused at the first length that crosses the bound.
+    strings or _MAX_LEN is refused, at the first length past it, before any task is listed.
     """
     if max_len < 0:
         raise ValueError("max length must be >= 0")
     letters = _alphabet(sigma)
-    tasks = []
+    splits = []  # (n, p) per length; prefixes are listed once every length passes
     total = 0
     for n in range(1, max_len + 1):
         total += sigma**n
@@ -249,8 +249,8 @@ def _plan(sigma: int, max_len: int, jobs: int | None, limit: int) -> tuple[list[
         p = 0
         while sigma ** (n - p) > _TASK_STRINGS:
             p += 1
-        for tup in product(letters, repeat=p):
-            tasks.append((n, bytes(tup)))
+        splits.append((n, p))
+    tasks = [(n, bytes(tup)) for n, p in splits for tup in product(letters, repeat=p)]
     cpus = os.cpu_count() or 1
     return tasks, max(1, min(cpus if jobs is None else jobs, cpus, len(tasks)))
 

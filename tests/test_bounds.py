@@ -613,6 +613,24 @@ class TestSearch:
         assert [ls.n for ls in per_length] == list(range(1, 65))
         assert sum(ls.count for ls in per_length) == 64
 
+    @pytest.mark.parametrize(
+        "sweep, match",
+        [
+            (lambda: exhaustive_search(2, 65, limit=2**70), "max length must be <= 64"),
+            (lambda: list(iter_search(2, 50, limit=10**15)), "exceeds the cap of"),
+        ],
+        ids=["length", "cap"],
+    )
+    def test_refused_before_tasks_are_listed(self, monkeypatch, sweep, match):
+        # Listing the tasks up to the refused length would build 2^37 (cap) to
+        # 2^52 (length) prefixes, so no prefix may be built before the refusal.
+        def no_prefixes(*args, **kwargs):
+            raise AssertionError("tasks listed before the sweep was refused")
+
+        monkeypatch.setattr("lynlz.bounds.product", no_prefixes)
+        with pytest.raises(ValueError, match=match):
+            sweep()
+
 
 class TestAsymptotics:
     def test_difference_grows_linearly(self):
