@@ -230,7 +230,7 @@ def _plan(sigma: int, max_len: int, jobs: int | None, limit: int) -> tuple[list[
     whatever the job count.  The worker count (None: the CPU count) is clamped
     to the CPU count and the number of tasks, and is at least 1, so an empty
     sweep, or a job count of 0 or less, runs in process.  A sweep past ``limit``
-    strings or _MAX_LEN is refused, at the first length past it, before any task is listed.
+    strings or _MAX_LEN is refused before any task is listed.
     """
     if max_len < 0:
         raise ValueError("max length must be >= 0")
