@@ -147,6 +147,16 @@ def sixteen_run_decomposition() -> CanonicalDecomposition:
 COUNTED = ("lyndon_factorize", "lz_factorize", "DomainLayer")
 
 
+def _counting(counts: Counter, name: str, fn):
+    """``fn`` wrapped to add one to ``counts[name]`` per call."""
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture
 def call_counts(monkeypatch) -> Counter:
     """Count Lyndon parses, LZ parses and domain-layer builds.
@@ -156,16 +166,18 @@ def call_counts(monkeypatch) -> Counter:
     whichever module makes it.
     """
     counts: Counter = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     for module in (domains, bounds, cli):
         for name in COUNTED:
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+                monkeypatch.setattr(module, name, _counting(counts, name, getattr(module, name)))
+    return counts
+
+
+@pytest.fixture
+def record_calls(monkeypatch) -> Counter:
+    """Count ``LemmaCheck.record`` and ``LemmaCheck.record_many`` calls, keyed by method name."""
+    counts: Counter = Counter()
+    for name in ("record", "record_many"):
+        method = getattr(domains.LemmaCheck, name)
+        monkeypatch.setattr(domains.LemmaCheck, name, _counting(counts, name, method))
     return counts

@@ -43,8 +43,10 @@ from lynlz import (
     verify_lemmas,
 )
 from lynlz.domains import (
+    CHECK_NAMES,
     LemmaCheck,
     _decompose,
+    _domain,
     _empty_window_failures,
     _make_group,
     _tiles,
@@ -516,6 +518,24 @@ class TestVerifyLemmas:
         report = verify_lemmas(FIGURE_STRING)
         assert {c.name: c for c in report.checks}["domain-laminarity"].instances == 6  # non-empty spans
 
+    def test_check_updates_follow_structures_not_runs(self, record_calls):
+        # Passing instances are added in bulk, so one call's LemmaCheck
+        # updates grow with the non-empty domains, tandems and groups, not
+        # with m: family k=18 has m = 173 and 19 non-empty domains, k=30 has
+        # m = 467 and 31.  Adding them one run or one instance at a time
+        # took 1,821 and 4,635 calls of the two methods; in bulk it takes 22
+        # at both, 20 record_many calls and the two one-instance records.
+        calls, structures = {}, {}
+        for k in (18, 30):
+            s = generate_family(k)
+            layer = DomainLayer(lyndon_factorize(s))
+            structures[k] = sum(map(len, layer.rows)) + len(layer.tandems) + len(layer.groups)
+            record_calls.clear()
+            assert verify_lemmas(s).passed
+            calls[k] = sum(record_calls.values())
+        assert calls[18] <= len(CHECK_NAMES) + structures[18]
+        assert calls[30] - calls[18] <= structures[30] - structures[18]
+
 
 class TestLemmaCheck:
     def test_first_failure_keeps_its_witness(self):
@@ -575,6 +595,14 @@ def _reference_inputs():
 # Has 2 instances each of the two disjoint-pair checks and 6 of the
 # tandem-inside-domain check, so a fault can reach all three failure paths.
 DISJOINT_PAIRS_STRING = b"abbabaababaaba"
+FAULT_INPUTS = [
+    generate_family(6),
+    generate_family(12),
+    FIGURE_STRING,
+    DISJOINT_PAIRS_STRING,
+    GROUP_TOP_STRING,
+    ZIMIN_5,
+]
 OVERLAP_CHECKS = (
     "disjoint-tandem-no-overlap",
     "disjoint-group-no-overlap",
@@ -618,17 +646,7 @@ class TestDenseReference:
             assert find_tandem_domains(lf) == dense_tandems(lf, table), s
             assert find_p_groups(lf) == dense_groups(lf, table), s
 
-    @pytest.mark.parametrize(
-        "s",
-        [
-            generate_family(6),
-            generate_family(12),
-            FIGURE_STRING,
-            DISJOINT_PAIRS_STRING,
-            GROUP_TOP_STRING,
-            ZIMIN_5,
-        ],
-    )
+    @pytest.mark.parametrize("s", FAULT_INPUTS)
     @pytest.mark.parametrize(
         "fault", ["windows-end-late", "no-boundaries", "contains-only-empty", "spans-overlap"]
     )
@@ -670,6 +688,63 @@ class TestDenseReference:
             assert all(failures == instances for instances, failures in counts)
             if s == DISJOINT_PAIRS_STRING:
                 assert all(instances for instances, _ in counts)
+
+    @pytest.mark.parametrize(
+        "fault, target",
+        [
+            ("factors-halved", "runs-between-share-prefix"),
+            ("order-1-anchors-late", "higher-order-suffix"),
+            ("order-1-anchors-late", "domain-laminarity"),
+            ("empty-extdoms-short", "decomposition-tiling"),
+        ],
+    )
+    def test_bulk_counts_under_injected_faults(self, monkeypatch, fault, target):
+        # The faults above never reach these four checks, which add their
+        # passing instances in bulk.  Each fault here makes some but not all
+        # of its target's instances fail on at least one input, and patches
+        # the same seam on both sides.
+        if fault == "factors-halved":
+            # f_t keeps only its first half, so it may no longer start with
+            # the runs F_i .. F_{i+d-1} of a domain spanning it.
+            def halved(text):
+                lf = lyndon_factorize(text)
+                factors = tuple(
+                    (Span(f.start, f.start + f.length // 2 - 1) if f.length > 1 else f, e)
+                    for f, e in lf.factors
+                )
+                return LyndonFactorization(text=text, factors=factors, runs=lf.runs)
+
+            monkeypatch.setattr("lynlz.domains.lyndon_factorize", halved)
+            monkeypatch.setattr(dense_reference, "lyndon_factorize", halved)
+        elif fault == "order-1-anchors-late":
+            # A non-empty order-1 domain anchors one run right of its leftmost
+            # occurrence, so order 2 may anchor left of order 1 and its span
+            # may cross the others.  Empty domains, which the dense table
+            # builds without _domain, are left alone.
+            def late(lf, i, d, q):
+                dom = _domain(lf, i, d, q)
+                if d == 1 and dom.j + 1 < i:
+                    return _domain(lf, i, d, lf.runs[dom.j].start)
+                return dom
+
+            monkeypatch.setattr("lynlz.domains._domain", late)
+            monkeypatch.setattr(dense_reference, "_domain", late)
+        else:
+            # An empty loose subdomain's extended domain ends one byte early,
+            # so a decomposition holding one no longer tiles its root.
+            def short(dom):
+                ext = extended_domain(dom)
+                return Span(ext.start, ext.end - 1) if dom.is_empty else ext
+
+            monkeypatch.setattr("lynlz.domains.extended_domain", short)
+            monkeypatch.setattr(dense_reference, "extended_domain", short)
+        partial = False
+        for s in FAULT_INPUTS:
+            sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
+            assert _verdicts(sparse) == _verdicts(dense), s
+            check = {c.name: c for c in dense.checks}[target]
+            partial |= 0 < check.failures < check.instances
+        assert partial
 
     @pytest.mark.parametrize(
         "s, runs, factors",
