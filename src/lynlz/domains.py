@@ -54,7 +54,13 @@ class Domain(NamedTuple):
 
 
 def extended_domain(dom: Domain) -> Span:
-    """Span of the domain followed by its own runs F_i .. F_{i+d-1}."""
+    """Span of the domain followed by its own runs F_i .. F_{i+d-1}.
+
+    An empty domain's extended domain is its window F_i .. F_{i+d-1}, the
+    span this formula would build, so it is returned as it is.
+    """
+    if dom.j == dom.i:
+        return dom.associated
     return Span(dom.span.start, dom.span.end + dom.associated.length)
 
 
@@ -134,15 +140,18 @@ def _domain(lf: LyndonFactorization, i: int, d: int, q: int) -> Domain:
     """Order-d domain of run F_i, given the start q of F_i..F_{i+d-1}'s leftmost occurrence.
 
     Empty when q is F_i's start; otherwise q must start an earlier run F_j,
-    the domain's anchor.
+    the domain's anchor.  An empty domain builds its empty span directly,
+    and at order 1 its window is F_i's own span ``runs[i - 1]``: the
+    verifier builds one empty domain per run that a decomposition scans.
     """
     runs = lf.runs
-    a_start = runs[i - 1].start
+    run = runs[i - 1]
+    a_start = run.start
     a_end = runs[i + d - 2].end
-    # Positional fields (i, d, j, span, associated): the verifier builds one
-    # empty domain per run that a decomposition scans.
+    # Positional fields (i, d, j, span, associated), for the same reason.
     if q == a_start:
-        return Domain(i, d, i, Span.empty(a_start), Span(a_start, a_end))
+        window = run if d == 1 else Span(a_start, a_end)
+        return Domain(i, d, i, Span(a_start, a_start - 1), window)
     j = bisect_left(runs, (q,)) + 1  # Span(q, e) sorts after (q,) and before (q + 1,)
     if j >= i or runs[j - 1].start != q:
         raise IntegrityError(
@@ -502,10 +511,11 @@ def _empty_window_failures(layer: DomainLayer, lz: LZFactorization, i: int) -> i
     ... up to the first passing one, where the scan stops.
     """
     runs = layer.lf.runs
-    a_start = runs[i - 1].start
+    run = runs[i - 1]
     failures = 0
     for d in range(len(layer.rows[i - 1]) + 1, layer.lf.m - i + 2):
-        if lz.boundaries_in(Span(a_start, runs[i + d - 2].end)) >= 1:
+        window = run if d == 1 else Span(run.start, runs[i + d - 2].end)
+        if lz.boundaries_in(window) >= 1:
             break
         failures += 1
     return failures

@@ -59,7 +59,8 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
     ``w``, or starts with ``w' c`` where ``c = s[j] < s[i] = w[|w'|]``, which
     is not a prefix of ``w``.  Either way the suffix does not start with
     ``w``, so its first factor is not ``w``.  Each round therefore appends
-    one run directly.
+    one run directly; a one-period run (``e == 1``) is its factor, and
+    shares its span.
 
     *Resume.*  After a round has read ``L`` bytes from ``k``, the scan's
     state is ``j = k + L`` and ``i = j - P(L)``, and it depends on
@@ -105,8 +106,9 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
             j += 1
         p = j - i
         e = (j - k) // p
-        factors.append((Span(k + 1, k + p), e))
-        runs.append(Span(k + 1, k + e * p))
+        factor = Span(k + 1, k + p)
+        factors.append((factor, e))
+        runs.append(factor if e == 1 else Span(k + 1, k + e * p))
         k += e * p
         before_k = k - 1
         rest = j - k

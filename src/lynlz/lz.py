@@ -58,32 +58,42 @@ def lz_factorize(s: bytes) -> LZFactorization:
       ``hi - lo`` bytes.  Since ``hi <= min(b - q, n - b)``, the cap keeps
       the occurrence inside ``s[:b]`` and the prefix inside ``s``, so every
       extended length still occurs in ``s[:b]`` (at ``q``, which stays its
-      leftmost occurrence) and raises ``lo`` without another find.
+      leftmost occurrence) and raises ``lo`` without another find.  It is
+      called only when the cap is at least 1 and the next bytes
+      ``s[q+lo]`` and ``s[b+lo]`` match, so every call matches at least one
+      byte: at family k=18 the parse makes 190 calls instead of 523, 333
+      of which matched nothing.  The two bytes are compared here, as
+      ``gallop`` reads no single byte.
 
     The bisection stays: the extension only raises the lower bound, and a
     longer prefix may first occur to the right of ``q``, which only a failing
     probe rules out.
     """
     n = len(s)
+    find = s.find
     phrases: list[Span] = []
     b = 0  # 0-based phrase start
     while b < n:
-        q = s.find(s[b : b + 1], 0, b)
+        q = find(s[b : b + 1], 0, b)
         if q < 0:
             phrases.append(Span(b + 1, b + 1))  # leftmost occurrence of a fresh letter
             b += 1
             continue
         hi = min(b - q, n - b)
-        lo = 1 + gallop(s, q + 1, b + 1, hi - 1)
+        lo = 1
+        if lo < hi and s[q + lo] == s[b + lo]:
+            lo += gallop(s, q + lo, b + lo, hi - lo)
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            r = s.find(s[b : b + mid], q, b)
+            r = find(s[b : b + mid], q, b)
             if r < 0:
                 hi = mid - 1
             else:
                 q = r
                 hi = min(hi, b - q)
-                lo = mid + gallop(s, q + mid, b + mid, hi - mid)
+                lo = mid
+                if lo < hi and s[q + lo] == s[b + lo]:
+                    lo += gallop(s, q + lo, b + lo, hi - lo)
         phrases.append(Span(b + 1, b + lo))
         b += lo
     return LZFactorization(text=s, phrases=tuple(phrases))

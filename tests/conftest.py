@@ -17,6 +17,7 @@ from lynlz import (
     domains,
     generate_family,
     lyndon,
+    lz,
     text,
 )
 
@@ -97,22 +98,45 @@ class ByteReadCounting(bytes):
 
 
 class GallopCounting:
-    """Stands in for ``text.gallop`` and sums the lengths it matched in ``galloped``."""
+    """Stands in for ``text.gallop``: counts its ``calls``, the ``misses`` that
+    matched nothing, and sums the lengths it matched in ``galloped``."""
 
     galloped = 0
+    calls = 0
+    misses = 0
 
     def __call__(self, *args) -> int:
         matched = text.gallop(*args)
+        self.calls += 1
+        self.misses += matched == 0
         self.galloped += matched
         return matched
+
+
+def _gallop_counter(monkeypatch, *modules) -> GallopCounting:
+    """One ``GallopCounting`` standing in for ``gallop`` in every module given."""
+    counter = GallopCounting()
+    for module in modules:
+        monkeypatch.setattr(module, "gallop", counter)
+    return counter
 
 
 @pytest.fixture
 def lyndon_gallops(monkeypatch) -> GallopCounting:
     """Count the bytes that ``lyndon_factorize`` reads through ``gallop``."""
-    counter = GallopCounting()
-    monkeypatch.setattr(lyndon, "gallop", counter)
-    return counter
+    return _gallop_counter(monkeypatch, lyndon)
+
+
+@pytest.fixture
+def lz_gallops(monkeypatch) -> GallopCounting:
+    """Count the ``gallop`` calls that ``lz_factorize`` makes."""
+    return _gallop_counter(monkeypatch, lz)
+
+
+@pytest.fixture
+def gallops(monkeypatch) -> GallopCounting:
+    """Count the ``gallop`` calls of both parses together."""
+    return _gallop_counter(monkeypatch, lyndon, lz)
 
 
 def repeated_family_block(n: int) -> bytes:
@@ -170,6 +194,14 @@ def call_counts(monkeypatch) -> Counter:
         for name in COUNTED:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _counting(counts, name, getattr(module, name)))
+    return counts
+
+
+@pytest.fixture
+def span_news(monkeypatch) -> Counter:
+    """Count validated ``Span`` constructions in ``counts["Span"]``."""
+    counts: Counter = Counter()
+    monkeypatch.setattr(Span, "__new__", staticmethod(_counting(counts, "Span", Span.__new__)))
     return counts
 
 

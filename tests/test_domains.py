@@ -131,6 +131,15 @@ class TestExtendedDomain:
         assert extended_domain(compute_domain(fig_lf, 4, 2)) == Span(7, 25)
         assert extended_domain(compute_domain(fig_lf, 2, 1)) == Span(7, 17)
 
+    def test_matches_definition(self):
+        # extdom_d(F_i) = F_j .. F_{i+d-1}, the window itself when j == i.
+        for s in chain(strings(b"ab", 12, 1), map(generate_family, range(2, 13))):
+            lf = lyndon_factorize(s)
+            runs = lf.runs
+            for dom in all_domains(lf):
+                expected = Span(runs[dom.j - 1].start, runs[dom.i + dom.d - 2].end)
+                assert extended_domain(dom) == expected, (s, dom.i, dom.d)
+
 
 class TestTiles:
     @pytest.mark.parametrize(
@@ -535,6 +544,15 @@ class TestVerifyLemmas:
             calls[k] = sum(record_calls.values())
         assert calls[18] <= len(CHECK_NAMES) + structures[18]
         assert calls[30] - calls[18] <= structures[30] - structures[18]
+
+    def test_interpreter_calls_at_family_k18(self, gallops, span_news):
+        # The LZ parse gallops only on a matching next byte, a one-period
+        # run shares its factor's span, and an empty domain reuses its run
+        # as its order-1 window and its window as its extended domain:
+        # 641 gallop calls and 1,364 Spans per call before, 308 and 727 now.
+        assert verify_lemmas(generate_family(18)).passed
+        assert gallops.calls <= 308
+        assert span_news["Span"] <= 727
 
 
 class TestLemmaCheck:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given
@@ -74,6 +75,31 @@ class TestFindCount:
         s = FindCounting(b"a" * 300_000)
         lz = lz_factorize(s)
         assert s.finds == lz.z
+
+    def test_family_k18_finds(self):
+        # README "LZ parse": the extension's guard moves no probe.
+        s = FindCounting(generate_family(18))
+        lz_factorize(s)
+        assert s.finds == 1_505
+
+
+class TestGallopCalls:
+    """``gallop`` runs only where the next bytes match, so every call matches one or more."""
+
+    def test_family(self, lz_gallops):
+        for k in range(2, 25):
+            lz_factorize(generate_family(k))
+        # 333 of family k=18's 523 calls matched nothing before the guard.
+        assert lz_gallops.calls > 0 and lz_gallops.misses == 0
+
+    def test_random_binary(self, lz_gallops):
+        lz_factorize(bytes(random.Random(10_000).choices(b"ab", k=10_000)))
+        assert lz_gallops.calls > 0 and lz_gallops.misses == 0
+
+    @REPETITIVE
+    def test_repetitive(self, make, lz_gallops):
+        lz_factorize(make(300_000))
+        assert lz_gallops.calls > 0 and lz_gallops.misses == 0
 
 
 class TestOracle:
