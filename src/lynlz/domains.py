@@ -191,7 +191,20 @@ class DomainLayer:
     __slots__ = ("lf", "rows", "tandems", "groups")
 
     def __init__(self, lf: LyndonFactorization) -> None:
-        """Search the rows, one find per non-empty domain plus one per run, then link them.
+        """Search the rows, one find per non-empty domain, run and distinct head, then link them.
+
+        Each row starts at its run's head: F_i's leading run of equal bytes
+        plus the byte after it, or all of F_i when F_i is a power of one
+        letter.  Every occurrence of F_i begins with its head, so none starts
+        left of the head's leftmost occurrence; this is ``lz_factorize``'s
+        *Resume* bound applied to a prefix.  Heads are few and shared.  A
+        Lyndon root of two or more letters begins with its longest run of its
+        least letter, then a larger letter, so the head is the root's own.
+        The roots strictly decrease, and a word that sorts between two words
+        with the same head has that head too, so runs with one head are
+        consecutive and the last (head, position) pair serves them all; a
+        one-letter root c gives the head c^e, which no other run has.  At
+        family k=18 the 173 runs have 20 heads.
 
         For a fixed i the search for order d + 1 resumes at order d's leftmost
         occurrence q: an occurrence of F_i..F_{i+d} is also one of its prefix
@@ -199,23 +212,32 @@ class DomainLayer:
         F_i's start bounds every order from above, so once q reaches it, at
         order e_i, every higher order is empty too and the row stops there.
 
-        Each row's order-1 find still scans from the start of the text, up to
-        F_i's start for a row with no non-empty domain, so the layer takes
-        O(m * n) time: on the family it scans 0.24 MB at k=18, 11 MB at k=40
-        and 345 MB at k=80.  The search stays a literal leftmost-occurrence
-        search; ROADMAP item 8 replaces it with a text index.
+        On the family the layer makes 210 finds reading 0.038 MB at k=18,
+        903 reading 0.83 MB at k=40 and 3,403 reading 12.6 MB at k=80; from
+        the text's start, each row's order-1 find made 190, 861 and 3,321
+        finds reading 0.24, 11.4 and 345 MB.  A head's own find and a row's
+        order-1 find can still scan most of the text, so texts whose runs
+        share no heads keep the O(m * n) worst case.  The search stays a
+        literal leftmost-occurrence search; ROADMAP item 8 replaces it with
+        a text index.
         """
         runs = lf.runs
         text = lf.text
         m = lf.m
         rows: list[tuple[Domain, ...]] = []
+        head, head_q = b"", 0
         for i in range(1, m + 1):
             a_start = runs[i - 1].start
+            needle = text[a_start - 1 : runs[i - 1].end]  # F_i, the order-1 needle
+            run_head = needle[: len(needle) - len(needle.lstrip(needle[:1])) + 1]
+            if run_head != head:
+                head, head_q = run_head, text.find(run_head) + 1
             row: list[Domain] = []
-            q = 1
+            q = head_q
             for d in range(1, m - i + 2):
-                a_end = runs[i + d - 2].end
-                q = text.find(text[a_start - 1 : a_end], q - 1) + 1
+                if d > 1:
+                    needle = text[a_start - 1 : runs[i + d - 2].end]
+                q = text.find(needle, q - 1) + 1
                 if q == a_start:
                     break
                 row.append(_domain(lf, i, d, q))

@@ -39,9 +39,15 @@ def lz_factorize(s: bytes) -> LZFactorization:
     prefix of ``s[b:]`` that occurs in ``s[:b]``.  Its length is found by
     binary search over the monotone predicate "``s[b:b+L]`` occurs in
     ``s[:b]``" (an occurrence of a longer prefix is one of every shorter
-    prefix), using C-level substring search, plus three facts that save most
+    prefix), using C-level substring search, plus four facts that save most
     of the work:
 
+    * **First byte.**  ``q`` starts at ``s[b]``'s leftmost occurrence,
+      looked up with no find in a table of first positions that each fresh
+      letter adds itself to.  A byte's first occurrence is always a fresh-letter phrase, as
+      every other phrase copies earlier text, so the table holds a byte's
+      first position whenever a later phrase starts with that byte, and a
+      phrase is a fresh letter exactly when the lookup returns ``b``.
     * **Resume.**  After a successful probe, ``q`` is the leftmost occurrence
       in ``s[:b]`` of ``s[b:b+lo]``, the longest prefix found so far.  Any
       occurrence of a longer prefix at ``r`` is also one of ``s[b:b+lo]``, so
@@ -71,11 +77,12 @@ def lz_factorize(s: bytes) -> LZFactorization:
     """
     n = len(s)
     find = s.find
+    first: dict[int, int] = {}  # byte -> its first position, for the bytes seen so far
     phrases: list[Span] = []
     b = 0  # 0-based phrase start
     while b < n:
-        q = find(s[b : b + 1], 0, b)
-        if q < 0:
+        q = first.setdefault(s[b], b)
+        if q == b:
             phrases.append(Span(b + 1, b + 1))  # leftmost occurrence of a fresh letter
             b += 1
             continue

@@ -69,17 +69,23 @@ def thue_morse_prefix(n: int) -> bytes:
 
 
 class FindCounting(bytes):
-    """A text that counts its own ``find`` calls in ``finds``.
+    """A text that counts its own ``find`` calls in ``finds``, and the bytes they read in ``read``.
 
     Slices of it are plain ``bytes``, so only calls on the text itself are
-    counted: for ``lz_factorize``, every substring search it makes.
+    counted: for ``lz_factorize`` and ``DomainLayer``, every substring
+    search they make.  A find reads from its start up to the end of its
+    match, or up to its end on a miss.
     """
 
     finds = 0
+    read = 0
 
-    def find(self, *args) -> int:
+    def find(self, sub: bytes, start=None, end=None) -> int:
+        r = super().find(sub, start, end)
+        start, end, _ = slice(start, end).indices(len(self))
         self.finds += 1
-        return super().find(*args)
+        self.read += (r + len(sub) if r >= 0 else end) - start
+        return r
 
 
 class ByteReadCounting(bytes):

@@ -4,7 +4,7 @@ import ast
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIGURE_STRING,
+    FindCounting,
     GROUP_BOTTOM_STRING,
     GROUP_TOP_STRING,
     sixteen_run_decomposition,
@@ -199,12 +200,27 @@ class TestAllDomains:
                 assert lf.runs[dom.j - 1].start == first
 
     def test_table_matches_per_entry_search(self):
-        # The layer resumes each order's search at the previous order's
-        # occurrence and stops at the first empty order e_i; compute_domain searches
-        # every entry from the text's start.  all_domains fills in the empty
-        # orders and must list exactly the dense reference table, and
-        # layer.domain must return every entry, empty orders included.
-        for s in chain(strings(b"ab", 12, min_len=1), strings(b"abc", 7, min_len=1)):
+        # The layer starts each row at its head's leftmost occurrence, resumes
+        # each order's search at the previous order's occurrence and stops at
+        # the first empty order e_i; compute_domain searches every entry from
+        # the text's start.  all_domains fills in the empty orders and must
+        # list exactly the dense reference table, and layer.domain must
+        # return every entry, empty orders included.  The family, the
+        # single-letter runs and the random bytes give heads whose leftmost
+        # occurrence lies well right of the text's start.
+        rng = random.Random(37)
+        inputs = chain(
+            strings(b"ab", 12, min_len=1),
+            strings(b"abc", 7, min_len=1),
+            (generate_family(k) for k in range(2, 17)),
+            (
+                bytes(chain.from_iterable([c] * e for c, e in zip(letters, exps)))
+                for letters in (b"ab", b"ba", b"aba", b"bab", b"cba", b"abc", b"cab")
+                for exps in product(range(1, 6), repeat=len(letters))
+            ),
+            (bytes(rng.choices(range(256), k=rng.randint(1, 300))) for _ in range(50)),
+        )
+        for s in inputs:
             lf = lyndon_factorize(s)
             reference = {
                 (i, d): compute_domain(lf, i, d)
@@ -221,6 +237,23 @@ class TestAllDomains:
             domains = all_domains(lf)
             assert domains == list(reference.values()), s
             assert domains == list(dense_table(lf).values()), s
+
+
+class TestLayerWork:
+    """The layer's finds and the bytes they read, counted on the family's text."""
+
+    @pytest.mark.parametrize(
+        "k, finds, max_mb",
+        # One find per distinct head (20 at k=18, 42 at k=40) over 190 and 861
+        # without the head bound, which read 0.237 and 11.35 MB.
+        [(18, 210, 0.05), (40, 903, 1.0)],
+    )
+    def test_family(self, k, finds, max_mb):
+        s = FindCounting(generate_family(k))
+        lf = lyndon_factorize(s)
+        DomainLayer(lf)
+        assert s.finds == finds
+        assert s.read <= max_mb * 1e6
 
 
 class TestTandemDomains:

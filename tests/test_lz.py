@@ -63,24 +63,27 @@ class TestFindCount:
 
     def test_fibonacci_stops_at_the_occurrence(self):
         # Most phrases' occurrences reach their start, so the bound b - q ends
-        # their bisection: 34 finds for z = 19 (112 with the bound min(b, n - b)).
+        # their bisection: 15 finds for z = 19 (34 with a find for each first
+        # byte, 112 with the bound min(b, n - b) as well).
         s = FindCounting(fibonacci_prefix(10_000))
         lz = lz_factorize(s)
         assert lz.z == 19
-        assert s.finds <= 2 * lz.z
+        assert s.finds <= lz.z
 
-    def test_unary_one_find_per_phrase(self):
+    def test_unary_makes_no_find(self):
         # Each phrase after the first is the whole parsed prefix: its first
-        # find and its extension reach b - q, so no probe follows.
+        # byte's position comes from the table, and its extension reaches
+        # b - q, so no probe follows.
         s = FindCounting(b"a" * 300_000)
-        lz = lz_factorize(s)
-        assert s.finds == lz.z
+        lz_factorize(s)
+        assert s.finds == 0
 
     def test_family_k18_finds(self):
-        # README "LZ parse": the extension's guard moves no probe.
+        # README "LZ parse": the first-byte table saves one find per phrase,
+        # 157 in all (1,505 finds with them).
         s = FindCounting(generate_family(18))
         lz_factorize(s)
-        assert s.finds == 1_505
+        assert s.finds == 1_348
 
 
 class TestGallopCalls:
