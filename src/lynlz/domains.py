@@ -215,7 +215,7 @@ class DomainLayer:
         On the family the layer makes 210 finds reading 0.038 MB at k=18,
         903 reading 0.83 MB at k=40 and 3,403 reading 12.6 MB at k=80; from
         the text's start, each row's order-1 find made 190, 861 and 3,321
-        finds reading 0.24, 11.4 and 345 MB.  A head's own find and a row's
+        finds reading 0.237, 11.35 and 345 MB.  A head's own find and a row's
         order-1 find can still scan most of the text, so texts whose runs
         share no heads keep the O(m * n) worst case.  The search stays a
         literal leftmost-occurrence search; ROADMAP item 8 replaces it with

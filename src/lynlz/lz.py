@@ -44,10 +44,11 @@ def lz_factorize(s: bytes) -> LZFactorization:
 
     * **First byte.**  ``q`` starts at ``s[b]``'s leftmost occurrence,
       looked up with no find in a table of first positions that each fresh
-      letter adds itself to.  A byte's first occurrence is always a fresh-letter phrase, as
-      every other phrase copies earlier text, so the table holds a byte's
-      first position whenever a later phrase starts with that byte, and a
-      phrase is a fresh letter exactly when the lookup returns ``b``.
+      letter adds itself to.  A byte's first occurrence is always a
+      fresh-letter phrase, as every other phrase copies earlier text, so the
+      table holds a byte's first position whenever a later phrase starts
+      with that byte, and a phrase is a fresh letter exactly when the lookup
+      returns ``b``.
     * **Resume.**  After a successful probe, ``q`` is the leftmost occurrence
       in ``s[:b]`` of ``s[b:b+lo]``, the longest prefix found so far.  Any
       occurrence of a longer prefix at ``r`` is also one of ``s[b:b+lo]``, so
