@@ -96,11 +96,9 @@ def lyndon_factorize(s: bytes) -> LyndonFactorization:
             elif a == b:
                 i += 1
                 if i - k >= _GALLOP:
-                    j += 1
-                    matched = gallop(s, i, j, n - j, _GALLOP)
+                    matched = gallop(s, i, j + 1, n - j - 1, _GALLOP)
                     i += matched
                     j += matched
-                    continue
             else:
                 break
             j += 1

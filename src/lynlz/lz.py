@@ -39,8 +39,10 @@ def lz_factorize(s: bytes) -> LZFactorization:
     prefix of ``s[b:]`` that occurs in ``s[:b]``.  Its length is found by
     binary search over the monotone predicate "``s[b:b+L]`` occurs in
     ``s[:b]``" (an occurrence of a longer prefix is one of every shorter
-    prefix), using C-level substring search, plus four facts that save most
-    of the work:
+    prefix), with C-level substring search.  The loop keeps one invariant:
+    ``q`` is the leftmost occurrence of ``s[b:b+lo]``, and while ``lo < hi``
+    the phrase is ``lo`` to ``hi`` bytes long.  Four facts save most of the
+    work:
 
     * **First byte.**  ``q`` starts at ``s[b]``'s leftmost occurrence,
       looked up with no find in a table of first positions that each fresh
@@ -48,12 +50,11 @@ def lz_factorize(s: bytes) -> LZFactorization:
       fresh-letter phrase, as every other phrase copies earlier text, so the
       table holds a byte's first position whenever a later phrase starts
       with that byte, and a phrase is a fresh letter exactly when the lookup
-      returns ``b``.
-    * **Resume.**  After a successful probe, ``q`` is the leftmost occurrence
-      in ``s[:b]`` of ``s[b:b+lo]``, the longest prefix found so far.  Any
-      occurrence of a longer prefix at ``r`` is also one of ``s[b:b+lo]``, so
-      ``r >= q``: the next probe searches ``s[q:b]`` only.  A probe that
-      succeeds at ``r`` makes ``r`` the new ``q`` by the same argument.
+      returns ``b``.  Then ``hi = b - q = 0``: the phrase is the one byte,
+      with no compare and no find.
+    * **Resume.**  Any occurrence of a longer prefix at ``r`` is also one of
+      ``s[b:b+lo]``, so ``r >= q``: every probe searches ``s[q:b]`` only,
+      and one that succeeds at ``r`` makes ``r`` the new ``q``.
     * **Stop.**  The phrase is at most ``b - q`` bytes long: its leftmost
       occurrence ``r`` is also one of ``s[b:b+lo]``, so ``r >= q`` by
       *Resume*, and it fits in ``s[:b]``, so ``L <= b - r <= b - q``.  The
@@ -65,16 +66,16 @@ def lz_factorize(s: bytes) -> LZFactorization:
       ``hi - lo`` bytes.  Since ``hi <= min(b - q, n - b)``, the cap keeps
       the occurrence inside ``s[:b]`` and the prefix inside ``s``, so every
       extended length still occurs in ``s[:b]`` (at ``q``, which stays its
-      leftmost occurrence) and raises ``lo`` without another find.  It is
-      called only when the cap is at least 1 and the next bytes
-      ``s[q+lo]`` and ``s[b+lo]`` match, so every call matches at least one
-      byte: at family k=18 the parse makes 190 calls instead of 523, 333
-      of which matched nothing.  The two bytes are compared here, as
-      ``gallop`` reads no single byte.
+      leftmost occurrence) and raises ``lo`` without another find.  The
+      outer loop's one ``gallop`` call runs first and after each successful
+      probe, only when ``s[q+lo] == s[b+lo]``, compared here as ``gallop``
+      reads no single byte, so every call matches at least one byte.
 
-    The bisection stays: the extension only raises the lower bound, and a
-    longer prefix may first occur to the right of ``q``, which only a failing
-    probe rules out.
+    The inner loop is the probe policy: it bisects ``(lo, hi]`` until a
+    probe succeeds, which moves ``q`` and goes back to extending, or the
+    bounds meet.  The bisection stays: the extension only raises the lower
+    bound, and a longer prefix may first occur to the right of ``q``,
+    which only a failing probe rules out.
     """
     n = len(s)
     find = s.find
@@ -82,26 +83,19 @@ def lz_factorize(s: bytes) -> LZFactorization:
     phrases: list[Span] = []
     b = 0  # 0-based phrase start
     while b < n:
-        q = first.setdefault(s[b], b)
-        if q == b:
-            phrases.append(Span(b + 1, b + 1))  # leftmost occurrence of a fresh letter
-            b += 1
-            continue
-        hi = min(b - q, n - b)
-        lo = 1
-        if lo < hi and s[q + lo] == s[b + lo]:
-            lo += gallop(s, q + lo, b + lo, hi - lo)
+        q = first.setdefault(s[b], b)  # q == b: a fresh letter, so hi == 0
+        lo, hi = 1, min(b - q, n - b)
         while lo < hi:
-            mid = (lo + hi + 1) // 2
-            r = find(s[b : b + mid], q, b)
-            if r < 0:
+            if s[q + lo] == s[b + lo]:
+                lo += gallop(s, q + lo, b + lo, hi - lo)
+            while lo < hi:  # the probe policy: bisect until a probe succeeds
+                mid = (lo + hi + 1) // 2
+                r = find(s[b : b + mid], q, b)
+                if r >= 0:
+                    q, lo = r, mid
+                    hi = min(hi, b - q)
+                    break
                 hi = mid - 1
-            else:
-                q = r
-                hi = min(hi, b - q)
-                lo = mid
-                if lo < hi and s[q + lo] == s[b + lo]:
-                    lo += gallop(s, q + lo, b + lo, hi - lo)
         phrases.append(Span(b + 1, b + lo))
         b += lo
     return LZFactorization(text=s, phrases=tuple(phrases))

@@ -89,17 +89,22 @@ class FindCounting(bytes):
 
 
 class ByteReadCounting(bytes):
-    """A text that counts the single bytes read from it (``s[i]``) in ``byte_reads``.
+    """A text that counts the single bytes read from it (``s[i]``) in ``byte_reads``
+    and the slices taken of it (``s[i:j]``) in ``slice_reads``.
 
-    Slices are not counted, so for ``lyndon_factorize`` this is two reads
-    per per-byte step of Duval's scan, and none for its galloped bytes.
+    For ``lyndon_factorize``, ``byte_reads`` is two reads per per-byte step
+    of Duval's scan, and none for its galloped bytes.  ``memoryview`` slices
+    read the buffer directly and are not counted.
     """
 
     byte_reads = 0
+    slice_reads = 0
 
     def __getitem__(self, key):
         if isinstance(key, int):
             self.byte_reads += 1
+        else:
+            self.slice_reads += 1
         return super().__getitem__(key)
 
 

@@ -52,6 +52,7 @@ from lynlz.domains import (
     _make_group,
     _tiles,
 )
+from partition_reference import order1_partition
 
 
 @pytest.fixture
@@ -675,8 +676,12 @@ class TestDenseReference:
 
     def test_reports_match_dense_reference(self):
         # Counted instances of empty domains must add up to the visited ones.
+        # The partition size is also checked against partition_reference.py,
+        # which shares no code with the library.
         for s in _reference_inputs():
-            assert verify_lemmas(s) == dense_verify_lemmas(s), s
+            report = verify_lemmas(s)
+            assert report == dense_verify_lemmas(s), s
+            assert report.t == len(order1_partition(s)), s
 
     def test_reference_keeps_its_own_group_window(self):
         # A reference that built groups with the library's _make_group

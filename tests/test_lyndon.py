@@ -334,3 +334,31 @@ class TestReads:
         # j moves right at every per-byte step and galloped byte, except at
         # the one compare that ends a round on a smaller byte.
         assert text.byte_reads // 2 + galloped <= len(s) - 1 + lf.m
+
+
+class TestPinnedWork:
+    """The scan's exact work: single-byte reads, ``gallop`` calls and galloped bytes.
+
+    A change to the loop that keeps these counts performs the same
+    operations.  With the gallop switched off, the scan reads 7,144 bytes
+    at family k=18 and 20,014 on the Fibonacci prefix, and calls no
+    ``gallop``.
+    """
+
+    @pytest.mark.parametrize(
+        "make, byte_reads, calls, galloped",
+        [
+            (lambda: generate_family(18), 5_546, 118, 799),
+            (lambda: fibonacci_prefix(10_000), 510, 16, 9_752),
+            (lambda: thue_morse_prefix(10_000), 904, 25, 9_559),
+        ],
+        ids=["family-k18", "fibonacci", "thue-morse"],
+    )
+    def test_counts(self, make, byte_reads, calls, galloped, lyndon_gallops):
+        s = ByteReadCounting(make())
+        lyndon_factorize(s)
+        assert (s.byte_reads, lyndon_gallops.calls, lyndon_gallops.galloped) == (
+            byte_reads,
+            calls,
+            galloped,
+        )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIGURE_STRING, is_lyndon, strings
+from conftest import FIGURE_STRING, ByteReadCounting, is_lyndon, strings
 from lynlz import Span, oracle_lz_naive
 from lynlz.text import gallop
 
@@ -185,6 +185,13 @@ class TestGallop:
                     for limit in range(n - j + 1):
                         expected = self.common_prefix(s, i, j, limit)
                         assert gallop(s, i, j, limit, step) == expected, (s, i, j, limit)
+
+    def test_whole_cap_takes_no_slice(self):
+        # One uncopied compare of the whole cap; doubling and halving would
+        # take 50 slices here.
+        s = ByteReadCounting(b"a" * 10**6)
+        assert gallop(s, 0, 1, 10**6 - 1) == 10**6 - 1
+        assert s.slice_reads == 0
 
     @pytest.mark.parametrize("step", [1, 2, 16])
     @pytest.mark.parametrize("limit", [4095, 4096, 4097, 4100, 5000, 8192, 9999])
