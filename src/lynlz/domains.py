@@ -15,7 +15,7 @@ re-checks every one of those guarantees on a concrete input string.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import NamedTuple
@@ -62,6 +62,11 @@ def extended_domain(dom: Domain) -> Span:
     if dom.j == dom.i:
         return dom.associated
     return Span(dom.span.start, dom.span.end + dom.associated.length)
+
+
+def _extent(runs: Sequence[Span], i: int, d: int, j: int) -> Span:
+    """F_j .. F_{i+d-1}: the extended domain of the order-d domain of F_i anchored at F_j."""
+    return Span(runs[j - 1].start, runs[i + d - 2].end)
 
 
 def _tiles(spans: Iterable[Span], start: int, end: int) -> bool:
@@ -317,55 +322,82 @@ def canonical_decomposition(lf: LyndonFactorization, dom: Domain) -> CanonicalDe
     return _decompose(dom, lambda t, order: compute_domain(lf, t, order))
 
 
-def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDecomposition:
-    """``canonical_decomposition`` with ``dom_at(t, order)`` looking up the scanned domains."""
-    if dom.size == 0:
-        raise ValueError("decomposition undefined for empty domain")
-    j = dom.j
-    discovered: list[PGroup | Domain] = []  # right-to-left discovery order
-    current: list[Domain] = [dom]
-    delta = dom.d
-    t = dom.i - 1
+def _scan(
+    anchor_at: Callable[[int, int], int], i: int, d: int, j: int
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The canonical decomposition of the non-empty domain (i, d) anchored at F_j, in integers.
+
+    ``anchor_at(t, order)`` is the anchor of dom_order(F_t).  The scan walks
+    t = i - 1 down to j, each step one order above the last: an anchor at
+    F_j adds dom_order(F_t) to the current cluster, and one right of F_j
+    closes the cluster, keeps (t, order, anchor) as a loose subdomain, and
+    restarts at order 1 just left of its span.  Returns, left to right, the
+    cluster sizes, one per gap between loose subdomains (0 where two of them
+    meet; the last cluster holds the root), and the loose subdomains.
+    """
+    sizes: list[int] = []
+    loose: list[tuple[int, int, int]] = []
+    size, order, t = 1, d, i - 1
     while t >= j:
-        sub = dom_at(t, delta + 1)
-        if sub.j < j:
-            raise IntegrityError(
-                f"scan of dom(i={dom.i}, d={dom.d}) escaped its anchor: "
-                f"dom(i={t}, d={delta + 1}) anchors at {sub.j} < {j}"
-            )
-        if sub.j == j:
-            current.append(sub)
-            delta += 1
+        order += 1
+        a = anchor_at(t, order)
+        if a == j:
+            size += 1
             t -= 1
         else:
-            if current:
-                discovered.append(_make_group(tuple(reversed(current))))
-                current = []
-            discovered.append(sub)
-            delta = 0
-            t = sub.j - 1
-    discovered.append(_make_group(tuple(reversed(current))))
-    return CanonicalDecomposition(root=dom, sequence=tuple(reversed(discovered)))
+            if a < j:
+                raise IntegrityError(
+                    f"scan of dom(i={i}, d={d}) escaped its anchor: "
+                    f"dom(i={t}, d={order}) anchors at {a} < {j}"
+                )
+            sizes.append(size)
+            loose.append((t, order, a))
+            size, order, t = 0, 0, a - 1
+    sizes.append(size)
+    sizes.reverse()
+    loose.reverse()
+    return sizes, loose
 
 
-def boundary_budget(cd: CanonicalDecomposition) -> BoundaryBudget:
-    """Boundary accounting of a decomposition; re-derives and checks its identities.
+def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDecomposition:
+    """``canonical_decomposition`` with ``dom_at(t, order)`` looking up the scanned domains.
 
-    With t >= 1 loose subdomains the clusters' p are pinned by the loose
-    orders, giving two exact identities (sizes and cluster boundaries); any
-    mismatch means the decomposition was built incorrectly.
+    Each scanned domain is looked up once; a cluster left of a loose
+    subdomain anchored at F_a ends at dom_1(F_{a-1}), the last one at the
+    root.
     """
-    root = cd.root
-    k, d = root.size, root.d
-    first = cd.sequence[0]
-    if not isinstance(first, PGroup):
-        raise IntegrityError("budget inconsistency: leftmost item is not a cluster")
-    ell = first.p
-    loose = cd.loose
-    loose_orders = tuple(sub.d for sub in loose)
-    loose_sizes = tuple(sub.size for sub in loose)
-    t = len(loose)
-    s_clusters = sum(c.p - 1 for c in cd.clusters)
+    if dom.size == 0:
+        raise ValueError("decomposition undefined for empty domain")
+    seen = {(dom.i, dom.d): dom}
+
+    def anchor_at(t: int, order: int) -> int:
+        sub = seen[t, order] = dom_at(t, order)
+        return sub.j
+
+    sizes, loose = _scan(anchor_at, dom.i, dom.d, dom.j)
+    ends = [(a - 1, 1) for _, _, a in loose] + [(dom.i, dom.d)]
+    sequence: list[PGroup | Domain] = []
+    for g, (p, (t, order)) in enumerate(zip(sizes, ends)):
+        if p:
+            sequence.append(_make_group(tuple(seen[t - k, order + k] for k in range(p - 1, -1, -1))))
+        if g < len(loose):
+            sequence.append(seen[loose[g][:2]])
+    return CanonicalDecomposition(root=dom, sequence=tuple(sequence))
+
+
+def _budget(
+    k: int, d: int, sizes: Sequence[int], loose_orders: Sequence[int], loose_sizes: Sequence[int]
+) -> tuple[int, int, int, int]:
+    """The boundary budget of a size-k, order-d root, checked against its identities.
+
+    ``sizes`` are the cluster sizes left to right, the leftmost one first
+    (a 0 stands for no cluster); ``loose_orders`` and ``loose_sizes``
+    describe the loose subdomains left to right.  Returns the cluster
+    boundaries, the loose boundaries, the total and the lower bound.
+    """
+    ell = sizes[0]
+    t = len(loose_orders)
+    s_clusters = sum(p - 1 for p in sizes if p)
     loose_boundaries = sum(_ceil_half(kh) + 1 for kh in loose_sizes)
     total = 1 + loose_boundaries + s_clusters
     lower = _ceil_half(k) + 1
@@ -379,13 +411,33 @@ def boundary_budget(cd: CanonicalDecomposition) -> BoundaryBudget:
             raise IntegrityError("budget inconsistency: cluster boundary count")
     if total < lower:
         raise IntegrityError("budget inconsistency: total below guaranteed bound")
+    return s_clusters, loose_boundaries, total, lower
+
+
+def boundary_budget(cd: CanonicalDecomposition) -> BoundaryBudget:
+    """Boundary accounting of a decomposition; re-derives and checks its identities.
+
+    With t >= 1 loose subdomains the clusters' p are pinned by the loose
+    orders, giving two exact identities (sizes and cluster boundaries); any
+    mismatch means the decomposition was built incorrectly.
+    """
+    root = cd.root
+    first = cd.sequence[0]
+    if not isinstance(first, PGroup):
+        raise IntegrityError("budget inconsistency: leftmost item is not a cluster")
+    loose = cd.loose
+    loose_orders = tuple(sub.d for sub in loose)
+    loose_sizes = tuple(sub.size for sub in loose)
+    s_clusters, loose_boundaries, total, lower = _budget(
+        root.size, root.d, [c.p for c in cd.clusters], loose_orders, loose_sizes
+    )
     return BoundaryBudget(
-        k=k,
-        leftmost_cluster=ell,
-        d=d,
+        k=root.size,
+        leftmost_cluster=first.p,
+        d=root.d,
         loose_orders=loose_orders,
         loose_sizes=loose_sizes,
-        t=t,
+        t=len(loose),
         cluster_boundaries=s_clusters,
         loose_boundaries=loose_boundaries,
         total=total,
@@ -586,6 +638,15 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     then adds its passing instances, its instance count less its failures,
     in one ``record_many`` call: no check makes a call per passing instance.
 
+    The per-run walk decomposes each non-empty domain in integers: ``_scan``
+    reads each scanned domain's anchor off the layer, ``rows[t-1][order-1].j``
+    or t past the row's first empty order, ``_budget`` checks the budget
+    identities from the cluster sizes and the loose orders and sizes, and
+    ``_extent`` spans each loose subdomain's extended domain for the tiling
+    check.  It builds no ``Domain``, ``PGroup``, ``CanonicalDecomposition``
+    or ``BoundaryBudget`` for a root's subdomains; ``canonical_decomposition``
+    and ``boundary_budget`` build those records from the same scan and rule.
+
     The checks read the sparse domain layer.  Where a check ranges over
     empty domains, their instances are counted rather than visited; the
     instance count, the failure count and the first counterexample equal
@@ -732,38 +793,48 @@ def verify_lemmas(s: bytes) -> LemmaReport:
     c_tile = checks["decomposition-tiling"]
     c_budget = checks["budget-identities"]
     c_count = checks["extdom-boundary-count"]
+    anchors = [[dom.j for dom in row] for row in rows]  # j of orders 1 .. e_i - 1
+
+    def anchor_at(t: int, order: int) -> int:
+        row = anchors[t - 1]
+        return row[order - 1] if order <= len(row) else t
+
     for i, row in enumerate(rows, 1):
         if row:  # orders past e_i, and all of an empty row's, pass: i >= i
-            anchors = [dom.j for dom in row] + [i]  # j of orders 1 .. e_i
-            for d in range(2, min(len(anchors), m - i + 1) + 1):
-                if anchors[d - 1] < anchors[d - 2]:
+            row_anchors = anchors[i - 1] + [i]  # j of orders 1 .. e_i
+            for d in range(2, min(len(row_anchors), m - i + 1) + 1):
+                if row_anchors[d - 1] < row_anchors[d - 2]:
                     c_suffix.record(False, "i={} d={}", i, d)
         for dom in row:
             # before the decomposition, whose failure skips the rest of the domain
             if lz.boundaries_in(dom.associated) < 1:
                 c_window.record(False, "i={} d={}", i, dom.d)
+            d, j = dom.d, dom.j
             try:
-                cd = _decompose(dom, layer.domain)
-                budget = boundary_budget(cd)
+                sizes, loose = _scan(anchor_at, i, d, j)
+                total = _budget(
+                    i - j, d, sizes, [o for _, o, _ in loose], [t - a for t, _, a in loose]
+                )[2]
             except IntegrityError as exc:
-                c_budget.record(False, "i={} d={} {}", dom.i, dom.d, exc)
+                c_budget.record(False, "i={} d={} {}", i, d, exc)
                 continue
             ext = extended_domain(dom)
-            first = cd.sequence[0]  # a cluster, or boundary_budget would have raised
-            loose = cd.loose
-            ok = first.members[0].i == dom.j
+            ell = sizes[0]
+            # the leftmost cluster's first member is dom_ell(F_j)
+            ok = (loose[0][2] if loose else i + 1) - ell == j
             if ok:
                 # F_j .. F_{j+ell-1}, the leftmost cluster's runs
-                head = Span(runs[dom.j - 1].start, runs[dom.j + first.p - 2].end)
+                head = Span(runs[j - 1].start, runs[j + ell - 2].end)
                 # With loose subdomains the last extended domain reaches the root's
                 # extended end; a single all-covering cluster stops at F_i itself.
-                target = ext.end if loose else runs[dom.i - 1].end
-                ok = _tiles([head, *map(extended_domain, loose)], ext.start, target)
+                target = ext.end if loose else runs[i - 1].end
+                extents = [_extent(runs, *sub) for sub in loose]
+                ok = _tiles([head, *extents], ext.start, target)
             if not ok:
-                c_tile.record(False, "i={} d={}", dom.i, dom.d)
-            # budget.total >= ceil(k/2) + 1, or boundary_budget would have raised
-            if lz.boundaries_in(ext) < budget.total:
-                c_count.record(False, "i={} d={}", dom.i, dom.d)
+                c_tile.record(False, "i={} d={}", i, d)
+            # total >= ceil(k/2) + 1, or _budget would have raised
+            if lz.boundaries_in(ext) < total:
+                c_count.record(False, "i={} d={}", i, d)
         failures = _empty_window_failures(layer, lz, i)
         if failures:
             e = len(row) + 1  # the first empty order, and the first failing one

@@ -217,6 +217,23 @@ def span_news(monkeypatch) -> Counter:
 
 
 @pytest.fixture
+def domain_work(monkeypatch) -> Counter:
+    """Count the domain records that ``lynlz.domains`` builds, keyed by name.
+
+    Calls of ``_domain``, ``_make_group`` and ``compute_domain`` through the
+    module, and constructions of ``CanonicalDecomposition`` and
+    ``BoundaryBudget``.
+    """
+    counts: Counter = Counter()
+    for name in ("_domain", "_make_group", "compute_domain"):
+        monkeypatch.setattr(domains, name, _counting(counts, name, getattr(domains, name)))
+    for record in (domains.CanonicalDecomposition, domains.BoundaryBudget):
+        new = _counting(counts, record.__name__, record.__new__)
+        monkeypatch.setattr(record, "__new__", staticmethod(new))
+    return counts
+
+
+@pytest.fixture
 def record_calls(monkeypatch) -> Counter:
     """Count ``LemmaCheck.record`` and ``LemmaCheck.record_many`` calls, keyed by method name."""
     counts: Counter = Counter()

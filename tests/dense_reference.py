@@ -5,7 +5,10 @@ domain layer: ``dense_table`` holds every (i, d) domain, the tandem and
 group scans test every pair, and ``dense_verify_lemmas`` visits every
 instance of every check one ``LemmaCheck.record`` call at a time.  It is
 kept frozen so that the sparse layer's counted instances can be compared,
-report against report, with instances that are really visited.
+report against report, with instances that are really visited.  The
+canonical decomposition and its boundary budget are written here from their
+definitions, over the table's records, so a fault in the library's scan or
+budget rule cannot match itself.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from lynlz.domains import (
     LemmaReport,
     PGroup,
     _ceil_half,
-    _decompose,
     _dom1_partition,
     _domain,
-    boundary_budget,
     extended_domain,
 )
 from lynlz.errors import IntegrityError
@@ -119,6 +120,72 @@ def dense_groups(lf: LyndonFactorization, table: dict[tuple[int, int], Domain]) 
                 run_start = None
     groups.sort(key=lambda g: (g.i, g.d))
     return groups
+
+
+def dense_decomposition(
+    table: dict[tuple[int, int], Domain], root: Domain
+) -> list[list[Domain] | Domain]:
+    """The canonical decomposition of a non-empty root, left to right.
+
+    Clusters are lists of their members and loose subdomains bare domains.
+    The scan reads F_{i-1} down to F_j, each domain one order above the one
+    before: a domain anchored at the root's F_j joins the cluster being
+    built; one anchored right of F_j is loose, closes that cluster, and the
+    scan restarts at order 1 just left of its span; one anchored left of F_j
+    escapes the root.
+    """
+    j = root.j
+    found: list[list[Domain] | Domain] = []  # right to left
+    cluster = [root]
+    t, order = root.i - 1, root.d + 1
+    while t >= j:
+        sub = table[(t, order)]
+        if sub.j < j:
+            raise IntegrityError(
+                f"scan of dom(i={root.i}, d={root.d}) escaped its anchor: "
+                f"dom(i={t}, d={order}) anchors at {sub.j} < {j}"
+            )
+        if sub.j == j:
+            cluster.append(sub)
+            t, order = t - 1, order + 1
+        else:
+            if cluster:
+                found.append(cluster[::-1])
+            found.append(sub)
+            cluster = []
+            t, order = sub.j - 1, 1
+    found.append(cluster[::-1])
+    return found[::-1]
+
+
+def dense_budget(root: Domain, items: list[list[Domain] | Domain]) -> int:
+    """The phrase starts guaranteed in the root's extended domain, after checking the budget.
+
+    One at the root's own window, p - 1 in each cluster of p members and
+    ceil(k'/2) + 1 in the extended domain of each loose subdomain of size
+    k'; at least ceil(k/2) + 1 for a root of size k.  With loose
+    subdomains, the leftmost cluster's ell runs and the loose extended
+    domains (size + order runs each) make up the root's k + d runs, and
+    the clusters hold ell - 1 + sum(d_h) - t - d - #{h < t: d_h > 1}
+    boundaries.
+    """
+    if not isinstance(items[0], list):
+        raise IntegrityError("budget inconsistency: leftmost item is not a cluster")
+    ell = len(items[0])
+    k, d = root.i - root.j, root.d
+    clusters = [item for item in items if isinstance(item, list)]
+    loose = [item for item in items if isinstance(item, Domain)]
+    boundaries = sum(len(cluster) - 1 for cluster in clusters)
+    total = 1 + boundaries + sum(_ceil_half(sub.i - sub.j) + 1 for sub in loose)
+    if loose:
+        if ell + sum(sub.i - sub.j + sub.d for sub in loose) != k + d:
+            raise IntegrityError("budget inconsistency: loose sizes do not balance")
+        raised = sum(1 for sub in loose[:-1] if sub.d > 1)
+        if boundaries != ell - 1 + sum(sub.d for sub in loose) - len(loose) - d - raised:
+            raise IntegrityError("budget inconsistency: cluster boundary count")
+    if total < _ceil_half(k) + 1:
+        raise IntegrityError("budget inconsistency: total below guaranteed bound")
+    return total
 
 
 def dense_verify_lemmas(s: bytes) -> LemmaReport:
@@ -286,19 +353,20 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
         ext = extended_domain(dom)
         need = _ceil_half(dom.size) + 1
         try:
-            cd = _decompose(dom, lambda t, order: table[(t, order)])
-            budget = boundary_budget(cd)
+            items = dense_decomposition(table, dom)
+            total = dense_budget(dom, items)
         except IntegrityError as exc:
             c_budget.record(False, "i={} d={} {}", dom.i, dom.d, exc)
             continue
         c_budget.record(True)
-        first = cd.sequence[0]
-        ok = isinstance(first, PGroup) and first.members[0].i == dom.j
+        first = items[0]
+        loose = [item for item in items if isinstance(item, Domain)]
+        ok = isinstance(first, list) and first[0].i == dom.j
         if ok:
-            cursor = runs[dom.j + first.p - 2].end + 1  # after F_j .. F_{j+ell-1}
+            cursor = runs[dom.j + len(first) - 2].end + 1  # after F_j .. F_{j+ell-1}
             if runs[dom.j - 1].start != ext.start:
                 ok = False
-            for sub in cd.loose:
+            for sub in loose:
                 sub_ext = extended_domain(sub)
                 if sub_ext.start != cursor:
                     ok = False
@@ -306,10 +374,10 @@ def dense_verify_lemmas(s: bytes) -> LemmaReport:
                 cursor = sub_ext.end + 1
             # With loose subdomains the last extended domain reaches the root's
             # extended end; a single all-covering cluster stops at F_i itself.
-            target = ext.end if cd.loose else runs[dom.i - 1].end
+            target = ext.end if loose else runs[dom.i - 1].end
             ok = ok and cursor == target + 1
         c_tile.record(ok, "i={} d={}", dom.i, dom.d)
-        c_count.record(lz.boundaries_in(ext) >= max(budget.total, need), "i={} d={}", dom.i, dom.d)
+        c_count.record(lz.boundaries_in(ext) >= max(total, need), "i={} d={}", dom.i, dom.d)
 
     c = checks["partition-phrase-bound"]
     parts = _dom1_partition(lf)

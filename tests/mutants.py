@@ -9,6 +9,10 @@ so the catalogue cannot go stale unnoticed.
 Mutants of the speed rules keep every output, so only operation counts
 kill them: the bounds of ``TestGallopCalls`` and ``TestReads``, and the
 exact counts of ``TestPinnedWork`` and ``test_whole_cap_takes_no_slice``.
+Mutants of the canonical scan, the budget rule and the domain constructor
+die in the verifier's own reports and in the comparison with
+``tests/dense_reference.py``, which builds its own decompositions and
+budgets.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ class Mutant(NamedTuple):
 LZ = "src/lynlz/lz.py"
 LYNDON = "src/lynlz/lyndon.py"
 TEXT = "src/lynlz/text.py"
+DOMAINS = "src/lynlz/domains.py"
 
 MUTANTS = (
     # LZ parse.
@@ -117,5 +122,91 @@ MUTANTS = (
         "if limit >= _WHOLE_CAP and s.startswith(",
         "if False and s.startswith(",
         ("tests/test_text.py::TestGallop::test_whole_cap_takes_no_slice",),
+    ),
+    # The canonical scan and the budget rule.
+    Mutant(
+        "scan-joins-escaped-anchor",
+        DOMAINS,
+        "if a == j:",
+        "if a <= j:",
+        (
+            "tests/test_domains.py::TestCanonicalDecomposition",
+            "tests/test_domains.py::TestDenseReference::test_bulk_counts_under_injected_faults",
+        ),
+    ),
+    Mutant(
+        "scan-escape-unchecked",
+        DOMAINS,
+        "if a < j:",
+        "if False:",
+        (
+            "tests/test_domains.py::TestCanonicalDecomposition",
+            "tests/test_domains.py::TestDenseReference::test_bulk_counts_under_injected_faults",
+        ),
+    ),
+    Mutant(
+        "loose-extent-one-run-short",
+        DOMAINS,
+        "return Span(runs[j - 1].start, runs[i + d - 2].end)",
+        "return Span(runs[j - 1].start, runs[i + d - 3].end)",
+        ("tests/test_domains.py::TestDenseReference::test_reports_match_dense_reference",),
+    ),
+    Mutant(
+        "cluster-identity-without-d",
+        DOMAINS,
+        "- t - d - sum(",
+        "- t - sum(",
+        (
+            "tests/test_domains.py::TestBoundaryBudget",
+            "tests/test_domains.py::TestDenseReference::test_reports_match_dense_reference",
+        ),
+    ),
+    Mutant(
+        "budget-total-without-one",
+        DOMAINS,
+        "total = 1 + loose_boundaries + s_clusters",
+        "total = loose_boundaries + s_clusters",
+        (
+            "tests/test_domains.py::TestBoundaryBudget",
+            "tests/test_domains.py::TestDenseReference::test_reports_match_dense_reference",
+        ),
+    ),
+    # The domain constructor, which the verifier's walk no longer calls.
+    Mutant(
+        "domain-window-one-byte-short",
+        DOMAINS,
+        "Span(q, q + (a_end - a_start))",
+        "Span(q, q + (a_end - a_start) - 1)",
+        (
+            "tests/test_domains.py::TestVerifyLemmas::test_exhaustive_small",
+            "tests/test_domains.py::TestDenseReference::test_reports_match_dense_reference",
+        ),
+    ),
+    Mutant(
+        "domain-span-ends-at-own-run",
+        DOMAINS,
+        "Span(q, a_start - 1)",
+        "Span(q, a_start)",
+        (
+            "tests/test_domains.py::TestVerifyLemmas::test_exhaustive_small",
+            "tests/test_domains.py::TestDenseReference::test_reports_match_dense_reference",
+        ),
+    ),
+    Mutant(
+        "empty-domain-window-one-byte-short",
+        DOMAINS,
+        "window = run if d == 1 else Span(a_start, a_end)",
+        "window = run if d == 1 else Span(a_start, a_end - 1)",
+        (
+            "tests/test_domains.py::TestVerifyLemmas::test_exhaustive_small",
+            "tests/test_domains.py::TestDenseReference::test_reports_match_dense_reference",
+        ),
+    ),
+    Mutant(
+        "anchor-off-run-start-accepted",
+        DOMAINS,
+        "if j >= i or runs[j - 1].start != q:",
+        "if j >= i:",
+        ("tests/test_domains.py::TestDenseReference::test_leftmost_occurrence_off_run_start",),
     ),
 )

@@ -4,7 +4,7 @@ import ast
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain, product
+from itertools import chain, count, product
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,13 @@ from conftest import (
 )
 import dense_reference
 import lynlz
-from dense_reference import dense_groups, dense_table, dense_tandems, dense_verify_lemmas
+from dense_reference import (
+    dense_budget,
+    dense_groups,
+    dense_table,
+    dense_tandems,
+    dense_verify_lemmas,
+)
 from lynlz import (
     CanonicalDecomposition,
     DomainLayer,
@@ -46,9 +52,11 @@ from lynlz import (
 from lynlz.domains import (
     CHECK_NAMES,
     LemmaCheck,
+    _budget,
     _decompose,
     _domain,
     _empty_window_failures,
+    _extent,
     _make_group,
     _tiles,
 )
@@ -396,6 +404,30 @@ class TestCanonicalDecomposition:
         with pytest.raises(ValueError, match="empty domain"):
             canonical_decomposition(fig_lf, compute_domain(fig_lf, 2, 1))
 
+    def test_scan_escaping_its_anchor_rejected(self):
+        # dom_2(F_3) anchors at F_1, left of the root's anchor F_2, so the
+        # root's runs cannot hold the decomposition.
+        dom = unit_run_domain
+        lookup = {(3, 2): dom(3, 2, 1)}
+        with pytest.raises(IntegrityError) as excinfo:
+            _decompose(dom(4, 1, 2), lambda t, order: lookup[t, order])
+        assert str(excinfo.value) == (
+            "scan of dom(i=4, d=1) escaped its anchor: dom(i=3, d=2) anchors at 1 < 2"
+        )
+
+    def test_one_lookup_per_scan_step_at_family_k18(self, domain_work):
+        # The scan reads one anchor per step and the records are built from
+        # the domains it looked up: 188 compute_domain calls over family
+        # k=18's 19 non-empty domains, as many as steps.
+        lf = lyndon_factorize(generate_family(18))
+        nonempty = [dom for row in DomainLayer(lf).rows for dom in row]
+        domain_work.clear()
+        for dom in nonempty:
+            boundary_budget(canonical_decomposition(lf, dom))
+        assert len(nonempty) == 19
+        assert domain_work["compute_domain"] <= 188
+        assert domain_work["CanonicalDecomposition"] == domain_work["BoundaryBudget"] == 19
+
     def test_loose_extdoms_tile_the_root(self):
         for s in (FIGURE_STRING, GROUP_TOP_STRING, generate_family(5)):
             lf = lyndon_factorize(s)
@@ -581,12 +613,23 @@ class TestVerifyLemmas:
 
     def test_interpreter_calls_at_family_k18(self, gallops, span_news):
         # The LZ parse gallops only on a matching next byte, a one-period
-        # run shares its factor's span, and an empty domain reuses its run
-        # as its order-1 window and its window as its extended domain:
-        # 641 gallop calls and 1,364 Spans per call before, 308 and 727 now.
+        # run shares its factor's span, an empty domain reuses its run as
+        # its order-1 window and its window as its extended domain, and the
+        # decompositions build no domains: 641 gallop calls and 1,364 Spans
+        # per call at first, 308 and 727 with the shared spans, 308 and 653 now.
         assert verify_lemmas(generate_family(18)).passed
         assert gallops.calls <= 308
-        assert span_news["Span"] <= 727
+        assert span_news["Span"] <= 653
+
+    def test_walk_builds_no_records_at_family_k18(self, domain_work):
+        # The walk reads each scanned domain's anchor off the layer's rows
+        # and checks each budget on integers.  Decomposing each root into
+        # records took 210 domains, 40 groups and 19 decompositions and
+        # budgets per call; now 19 non-empty domains and 18 empty tandem
+        # halves are the layer's, 2 domains the partition's, and the 3
+        # groups the layer's tandems and groups.
+        assert verify_lemmas(generate_family(18)).passed
+        assert domain_work == {"_domain": 39, "_make_group": 3, "compute_domain": 2}
 
 
 class TestLemmaCheck:
@@ -684,16 +727,18 @@ class TestDenseReference:
             assert report.t == len(order1_partition(s)), s
 
     def test_reference_keeps_its_own_group_window(self):
-        # A reference that built groups with the library's _make_group
-        # could not catch a fault in the window rule.
+        # A reference that built groups with the library's _make_group, or
+        # decompositions and budgets with its scan and budget rule, could not
+        # catch a fault in them.
         nodes = list(ast.walk(ast.parse(Path(dense_reference.__file__).read_text())))
         imported = {
             alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names
         }
         used = {node.id for node in nodes if isinstance(node, ast.Name)}
         used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-        assert "_decompose" in imported and "_dense_group" in used
-        assert "_make_group" not in imported | used
+        assert "_domain" in imported and "_dense_group" in used
+        shared = {"_make_group", "_decompose", "canonical_decomposition", "boundary_budget", "_scan", "_budget"}
+        assert shared.isdisjoint(imported | used)
 
     def test_tandems_and_groups_match_dense_reference(self):
         for s in _reference_inputs():
@@ -787,12 +832,18 @@ class TestDenseReference:
             monkeypatch.setattr(dense_reference, "_domain", late)
         else:
             # An empty loose subdomain's extended domain ends one byte early,
-            # so a decomposition holding one no longer tiles its root.
+            # so a decomposition holding one no longer tiles its root.  The
+            # library's walk reads a loose subdomain's extent off (i, d, j).
             def short(dom):
                 ext = extended_domain(dom)
                 return Span(ext.start, ext.end - 1) if dom.is_empty else ext
 
+            def short_extent(runs, i, d, j):
+                ext = _extent(runs, i, d, j)
+                return Span(ext.start, ext.end - 1) if j == i else ext
+
             monkeypatch.setattr("lynlz.domains.extended_domain", short)
+            monkeypatch.setattr("lynlz.domains._extent", short_extent)
             monkeypatch.setattr(dense_reference, "extended_domain", short)
         partial = False
         for s in FAULT_INPUTS:
@@ -843,14 +894,22 @@ class TestDenseReference:
         rows = DomainLayer(lyndon_factorize(s)).rows
         nonempty = [dom for row in rows for dom in row]
         victim = nonempty[len(nonempty) // 2]
+        # The library's walk calls _budget on integers, once per non-empty
+        # domain in this order; the reference calls dense_budget on records.
+        calls = count()
 
-        def budget(cd):
-            if cd.root == victim:
+        def budget(*args):
+            if next(calls) == len(nonempty) // 2:
                 raise IntegrityError("injected")
-            return boundary_budget(cd)
+            return _budget(*args)
 
-        monkeypatch.setattr("lynlz.domains.boundary_budget", budget)
-        monkeypatch.setattr(dense_reference, "boundary_budget", budget)
+        def reference_budget(root, items):
+            if root == victim:
+                raise IntegrityError("injected")
+            return dense_budget(root, items)
+
+        monkeypatch.setattr("lynlz.domains._budget", budget)
+        monkeypatch.setattr(dense_reference, "dense_budget", reference_budget)
         sparse, dense = verify_lemmas(s), dense_verify_lemmas(s)
         failed = {c.name: c.failures for c in dense.checks if c.failures}
         assert failed == {"budget-identities": 1}
