@@ -362,26 +362,30 @@ def _scan(
 def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDecomposition:
     """``canonical_decomposition`` with ``dom_at(t, order)`` looking up the scanned domains.
 
-    Each scanned domain is looked up once; a cluster left of a loose
-    subdomain anchored at F_a ends at dom_1(F_{a-1}), the last one at the
-    root.
+    Each step of the scan looks one domain up, and each step's domain is a
+    cluster member or a loose subdomain, so the domains looked up, read left
+    to right and followed by the root, are the decomposition's in order.
     """
     if dom.size == 0:
         raise ValueError("decomposition undefined for empty domain")
-    seen = {(dom.i, dom.d): dom}
+    scanned = [dom]  # right to left
 
     def anchor_at(t: int, order: int) -> int:
-        sub = seen[t, order] = dom_at(t, order)
+        sub = dom_at(t, order)
+        scanned.append(sub)
         return sub.j
 
     sizes, loose = _scan(anchor_at, dom.i, dom.d, dom.j)
-    ends = [(a - 1, 1) for _, _, a in loose] + [(dom.i, dom.d)]
+    scanned.reverse()
     sequence: list[PGroup | Domain] = []
-    for g, (p, (t, order)) in enumerate(zip(sizes, ends)):
+    k = 0
+    for g, p in enumerate(sizes):
         if p:
-            sequence.append(_make_group(tuple(seen[t - k, order + k] for k in range(p - 1, -1, -1))))
+            sequence.append(_make_group(tuple(scanned[k : k + p])))
+            k += p
         if g < len(loose):
-            sequence.append(seen[loose[g][:2]])
+            sequence.append(scanned[k])
+            k += 1
     return CanonicalDecomposition(root=dom, sequence=tuple(sequence))
 
 
