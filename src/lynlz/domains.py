@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -319,7 +320,7 @@ def canonical_decomposition(lf: LyndonFactorization, dom: Domain) -> CanonicalDe
     cluster, records the domain as loose, and restarts the scan (order 0)
     just left of the loose domain's span.
     """
-    return _decompose(dom, lambda t, order: compute_domain(lf, t, order))
+    return _decompose(dom, partial(compute_domain, lf))
 
 
 def _scan(
