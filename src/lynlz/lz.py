@@ -15,6 +15,13 @@ from .text import Span, gallop
 
 ORACLE_LIMIT = 10_000
 
+# Prefix of the text in which the parse counts its letters to choose the
+# rarest one.  Measured (2 vCPU, Python 3.11.7): one letter's count takes
+# 2-4 us over 4096 bytes, but 0.1-0.15 ms over a whole repetitive text of
+# 3*10^5 bytes (1.4 ms over random text), which made the benchmark's
+# parse-repetitive op 5.2 -> 5.65 ms.
+_COUNTED = 4096
+
 
 @dataclass(frozen=True)
 class LZFactorization:
@@ -41,7 +48,7 @@ def lz_factorize(s: bytes) -> LZFactorization:
     ``s[:b]``" (an occurrence of a longer prefix is one of every shorter
     prefix), with C-level substring search.  The loop keeps one invariant:
     ``q`` is the leftmost occurrence of ``s[b:b+lo]``, and while ``lo < hi``
-    the phrase is ``lo`` to ``hi`` bytes long.  Four facts save most of the
+    the phrase is ``lo`` to ``hi`` bytes long.  Five facts save most of the
     work:
 
     * **First byte.**  ``q`` starts at ``s[b]``'s leftmost occurrence,
@@ -70,6 +77,24 @@ def lz_factorize(s: bytes) -> LZFactorization:
       outer loop's one ``gallop`` call runs first and after each successful
       probe, only when ``s[q+lo] == s[b+lo]``, compared here as ``gallop``
       reads no single byte, so every call matches at least one byte.
+    * **Rare end.**  A probe tries the length that ends on the last
+      occurrence of the parse's rarest letter in ``((lo + mid) // 2,
+      mid]``, found with one ``rfind``, and the midpoint ``mid`` when no
+      such byte lies there.  CPython's ``bytes.find`` tests each window's
+      last byte first and shifts past it on a mismatch (Horspool), so a
+      needle ending on a rare letter is rejected at most windows with one
+      compare: a failing find over 1,780 bytes of family text (where
+      ``a`` is 9.5 times as common as ``b``) took 9.2 us with the needle
+      ending on ``a`` and 1.8 us ending on ``b``.  The rule is exact: the
+      predicate is monotone, so any length in ``(lo, hi]`` is a valid
+      probe, and ``q`` stays the leftmost occurrence by *Resume*.  It
+      keeps the bisection's progress: the length is above
+      ``(lo + mid) // 2 >= lo`` and at most ``mid <= hi``, so either
+      outcome shrinks ``(lo, hi]``, to at most about three quarters of
+      its length.  The letter is chosen once, at the parse's first probe,
+      among the letters seen so far, by counting them in the first
+      ``_COUNTED`` bytes.  A text whose phrases need no probe counts no
+      letter, and a wrong choice costs only speed.
 
     The inner loop is the probe policy: it bisects ``(lo, hi]`` until a
     probe succeeds, which moves ``q`` and goes back to extending, or the
@@ -78,8 +103,9 @@ def lz_factorize(s: bytes) -> LZFactorization:
     which only a failing probe rules out.
     """
     n = len(s)
-    find = s.find
+    find, rfind = s.find, s.rfind
     first: dict[int, int] = {}  # byte -> its first position, for the bytes seen so far
+    rare = -1  # the byte probes end on, chosen at the first probe
     phrases: list[Span] = []
     b = 0  # 0-based phrase start
     while b < n:
@@ -90,6 +116,11 @@ def lz_factorize(s: bytes) -> LZFactorization:
                 lo += gallop(s, q + lo, b + lo, hi - lo)
             while lo < hi:  # the probe policy: bisect until a probe succeeds
                 mid = (lo + hi + 1) // 2
+                if rare < 0:
+                    rare = min(first, key=lambda c: s.count(c, 0, _COUNTED))
+                e = rfind(rare, b + (lo + mid) // 2, b + mid)
+                if e >= 0:
+                    mid = e - b + 1
                 r = find(s[b : b + mid], q, b)
                 if r >= 0:
                     q, lo = r, mid

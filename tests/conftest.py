@@ -69,23 +69,50 @@ def thue_morse_prefix(n: int) -> bytes:
 
 
 class FindCounting(bytes):
-    """A text that counts its own ``find`` calls in ``finds``, and the bytes they read in ``read``.
+    """A text that counts its own substring searches and the bytes they read.
 
+    ``finds``, ``rfinds`` and ``counts`` count its ``find``, ``rfind`` and
+    ``count`` calls, and ``read`` sums the bytes that all of them read.
     Slices of it are plain ``bytes``, so only calls on the text itself are
     counted: for ``lz_factorize`` and ``DomainLayer``, every substring
     search they make.  A find reads from its start up to the end of its
-    match, or up to its end on a miss.
+    match, or up to its end on a miss; an rfind from its end back to the
+    start of its match, or back to its start on a miss; a count reads its
+    whole range.
     """
 
     finds = 0
+    rfinds = 0
+    counts = 0
     read = 0
 
-    def find(self, sub: bytes, start=None, end=None) -> int:
+    def _range(self, start, end) -> tuple[int, int]:
+        return slice(start, end).indices(len(self))[:2]
+
+    def find(self, sub, start=None, end=None) -> int:
         r = super().find(sub, start, end)
-        start, end, _ = slice(start, end).indices(len(self))
+        start, end = self._range(start, end)
         self.finds += 1
-        self.read += (r + len(sub) if r >= 0 else end) - start
+        self.read += (r + _length(sub) if r >= 0 else end) - start
         return r
+
+    def rfind(self, sub, start=None, end=None) -> int:
+        r = super().rfind(sub, start, end)
+        start, end = self._range(start, end)
+        self.rfinds += 1
+        self.read += end - (r if r >= 0 else start)
+        return r
+
+    def count(self, sub, start=None, end=None) -> int:
+        start, end = self._range(start, end)
+        self.counts += 1
+        self.read += end - start
+        return super().count(sub, start, end)
+
+
+def _length(sub) -> int:
+    """Length of a search's ``sub``: a byte string, or one byte as an int."""
+    return 1 if isinstance(sub, int) else len(sub)
 
 
 class ByteReadCounting(bytes):

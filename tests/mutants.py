@@ -86,6 +86,21 @@ MUTANTS = (
         ("tests/test_lz.py::TestLzFactorize",),
         timeout=15.0,
     ),
+    Mutant(
+        "lz-rare-end-off",  # probes at the midpoint: outputs unchanged
+        LZ,
+        "if e >= 0:",
+        "if False:",
+        ("tests/test_lz.py::TestPinnedWork",),
+    ),
+    Mutant(
+        "lz-rare-end-past-mid",  # a probe at hi + 1 fails and leaves hi: loops forever
+        LZ,
+        "e = rfind(rare, b + (lo + mid) // 2, b + mid)",
+        "e = rfind(rare, b + (lo + mid) // 2, b + mid + 1)",
+        ("tests/test_lz.py::TestOracle",),
+        timeout=15.0,
+    ),
     # Duval's scan.
     Mutant(
         "lyndon-gallop-off",  # outputs unchanged

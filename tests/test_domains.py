@@ -616,9 +616,11 @@ class TestVerifyLemmas:
         # run shares its factor's span, an empty domain reuses its run as
         # its order-1 window and its window as its extended domain, and the
         # decompositions build no domains: 641 gallop calls and 1,364 Spans
-        # per call at first, 308 and 727 with the shared spans, 308 and 653 now.
+        # per call at first, 308 and 727 with the shared spans, 308 and 653
+        # with the integer walk.  Ending each LZ probe on the rarest letter
+        # makes 59 more probes succeed, each followed by an extension: 367.
         assert verify_lemmas(generate_family(18)).passed
-        assert gallops.calls <= 308
+        assert gallops.calls <= 367
         assert span_news["Span"] <= 653
 
     def test_walk_builds_no_records_at_family_k18(self, domain_work):

@@ -15,13 +15,18 @@ from conftest import (
     strings,
 )
 from lynlz import Span, generate_family, lz_factorize, oracle_lz_naive
-from lynlz.lz import ORACLE_LIMIT
+from lynlz.lz import _COUNTED, ORACLE_LIMIT
 
 REPETITIVE = pytest.mark.parametrize(
     "make",
     [lambda n: b"a" * n, lambda n: b"ab" * (n // 2), fibonacci_prefix, repeated_family_block],
     ids=["a^n", "(ab)^n", "fibonacci", "family-k12"],
 )
+
+
+def skewed(seed: int, n: int, letters: bytes, weights: tuple[int, ...]) -> bytes:
+    """``n`` letters drawn independently with the given weights."""
+    return bytes(random.Random(seed).choices(letters, weights, k=n))
 
 
 class TestLzFactorize:
@@ -80,10 +85,11 @@ class TestFindCount:
 
     def test_family_k18_finds(self):
         # README "LZ parse": the first-byte table saves one find per phrase,
-        # 157 in all (1,505 finds with them).
+        # 157 in all (1,505 finds with them), and ending each probe on the
+        # rarest letter 32 more (1,348 with bisection at the midpoint).
         s = FindCounting(generate_family(18))
         lz_factorize(s)
-        assert s.finds == 1_348
+        assert s.finds == 1_316
 
 
 class TestGallopCalls:
@@ -106,27 +112,31 @@ class TestGallopCalls:
 
 
 class TestPinnedWork:
-    """The parse's exact work: finds, bytes they read and ``gallop`` calls.
+    """The parse's exact work: finds, rfinds and counts, the bytes they read,
+    and ``gallop`` calls.
 
     A change to the loop that keeps these counts performs the same
     operations.  Each speed rule shows in them: probing from 0 instead of
     ``q`` (*Resume*) keeps every count but the bytes read, which rise to
-    1,782,439 at family k=18 and 35,050,276 on the random text.
+    1,668,726 at family k=18 and 34,622,333 on the random text.  ``a^n``
+    and ``(ab)^n`` make no probe, so they count no letter either.
     """
 
     @pytest.mark.parametrize(
-        "make, finds, read, calls",
+        "make, finds, rfinds, counts, read, calls",
         [
-            (lambda: generate_family(18), 1_348, 1_291_836, 190),
-            (lambda: bytes(random.Random(10_000).choices(b"ab", k=10_000)), 8_460, 32_304_906, 994),
-            (lambda: fibonacci_prefix(10_000), 15, 13_820, 30),
+            (lambda: generate_family(18), 1_316, 1_316, 2, 1_202_014, 249),
+            (lambda: bytes(random.Random(10_000).choices(b"ab", k=10_000)), 8_423, 8_423, 1, 31_765_401, 1_025),
+            (lambda: fibonacci_prefix(10_000), 15, 15, 2, 22_027, 30),
+            (lambda: b"a" * 10_000, 0, 0, 0, 0, 13),
+            (lambda: b"ab" * 5_000, 0, 0, 0, 0, 13),
         ],
-        ids=["family-k18", "random-binary", "fibonacci"],
+        ids=["family-k18", "random-binary", "fibonacci", "a^n", "(ab)^n"],
     )
-    def test_counts(self, make, finds, read, calls, lz_gallops):
+    def test_counts(self, make, finds, rfinds, counts, read, calls, lz_gallops):
         s = FindCounting(make())
         lz_factorize(s)
-        assert (s.finds, s.read, lz_gallops.calls) == (finds, read, calls)
+        assert (s.finds, s.rfinds, s.counts, s.read, lz_gallops.calls) == (finds, rfinds, counts, read, calls)
 
 
 class TestOracle:
@@ -174,6 +184,35 @@ class TestOracle:
         # at 4,095..4,097.
         s = make(n)
         assert lz_factorize(s) == oracle_lz_naive(s)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "letters, weights",
+        [(b"ab", (9, 1)), (b"ab", (1, 9)), (b"ab", (19, 1)), (b"abcd", (60, 25, 10, 5))],
+        ids=["9:1", "1:9", "19:1", "abcd-60:25:10:5"],
+    )
+    def test_equivalence_skewed(self, letters, weights, seed):
+        # Probes end on the rarest letter, which a skewed text has often
+        # enough to move most probes off the midpoint.
+        s = skewed(seed, 3_000, letters, weights)
+        assert lz_factorize(s) == oracle_lz_naive(s)
+
+    def test_rarest_letter_after_the_first_probe(self):
+        # The letters are counted at the first probe, before c first
+        # occurs, so the probes end on a or b although c is the rarest.
+        head = skewed(1, 500, b"ab", (1, 1))
+        s = FindCounting(head + skewed(2, 2_500, b"abc", (10, 10, 1)))
+        assert b"c" not in head and b"c" in s
+        assert lz_factorize(s) == oracle_lz_naive(s)
+        assert s.counts == 2
+
+    def test_counted_prefix_misleads(self):
+        # b is the rarer letter in the counted prefix, so the probes end on
+        # it, and the commoner one after it.
+        prefix = b"ab" + skewed(3, _COUNTED - 2, b"ab", (19, 1))
+        s = FindCounting(prefix + skewed(4, 3_000, b"ab", (1, 19)))
+        assert lz_factorize(s) == oracle_lz_naive(s)
+        assert s.counts == 2
 
     @given(st.text(alphabet="abcd", max_size=120).map(str.encode))
     def test_equivalence_random(self, s):
