@@ -93,7 +93,7 @@ class FindCounting(bytes):
         r = super().find(sub, start, end)
         start, end = self._range(start, end)
         self.finds += 1
-        self.read += (r + _length(sub) if r >= 0 else end) - start
+        self.read += (r + len(sub) if r >= 0 else end) - start
         return r
 
     def rfind(self, sub, start=None, end=None) -> int:
@@ -108,11 +108,6 @@ class FindCounting(bytes):
         self.counts += 1
         self.read += end - start
         return super().count(sub, start, end)
-
-
-def _length(sub) -> int:
-    """Length of a search's ``sub``: a byte string, or one byte as an int."""
-    return 1 if isinstance(sub, int) else len(sub)
 
 
 class ByteReadCounting(bytes):
