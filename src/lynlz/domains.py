@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -147,8 +146,10 @@ def _domain(lf: LyndonFactorization, i: int, d: int, q: int) -> Domain:
 
     Empty when q is F_i's start; otherwise q must start an earlier run F_j,
     the domain's anchor.  An empty domain builds its empty span directly,
-    and at order 1 its window is F_i's own span ``runs[i - 1]``: the
-    verifier builds one empty domain per run that a decomposition scans.
+    and at order 1 its window is F_i's own span ``runs[i - 1]``: at family
+    k=18, ``all_domains`` builds 15,032 empty domains here, and
+    ``verify_lemmas`` 19 of its 39 (the layer's 18 empty tandem halves
+    and one part of the order-1 partition).
     """
     runs = lf.runs
     run = runs[i - 1]
@@ -319,8 +320,32 @@ def canonical_decomposition(lf: LyndonFactorization, dom: Domain) -> CanonicalDe
     anchored at F_j joins the current cluster; any other anchor closes the
     cluster, records the domain as loose, and restarts the scan (order 0)
     just left of the loose domain's span.
+
+    Each step of ``_scan`` computes one domain, and each step's domain is a
+    cluster member or a loose subdomain, so the domains computed, read left
+    to right and followed by the root, are the decomposition's in order.
     """
-    return _decompose(dom, partial(compute_domain, lf))
+    if dom.size == 0:
+        raise ValueError("decomposition undefined for empty domain")
+    scanned = [dom]  # right to left
+
+    def anchor_at(t: int, order: int) -> int:
+        sub = compute_domain(lf, t, order)
+        scanned.append(sub)
+        return sub.j
+
+    sizes, loose = _scan(anchor_at, dom.i, dom.d, dom.j)
+    scanned.reverse()
+    sequence: list[PGroup | Domain] = []
+    k = 0
+    for g, p in enumerate(sizes):
+        if p:
+            sequence.append(_make_group(tuple(scanned[k : k + p])))
+            k += p
+        if g < len(loose):
+            sequence.append(scanned[k])
+            k += 1
+    return CanonicalDecomposition(root=dom, sequence=tuple(sequence))
 
 
 def _scan(
@@ -358,36 +383,6 @@ def _scan(
     sizes.reverse()
     loose.reverse()
     return sizes, loose
-
-
-def _decompose(dom: Domain, dom_at: Callable[[int, int], Domain]) -> CanonicalDecomposition:
-    """``canonical_decomposition`` with ``dom_at(t, order)`` looking up the scanned domains.
-
-    Each step of the scan looks one domain up, and each step's domain is a
-    cluster member or a loose subdomain, so the domains looked up, read left
-    to right and followed by the root, are the decomposition's in order.
-    """
-    if dom.size == 0:
-        raise ValueError("decomposition undefined for empty domain")
-    scanned = [dom]  # right to left
-
-    def anchor_at(t: int, order: int) -> int:
-        sub = dom_at(t, order)
-        scanned.append(sub)
-        return sub.j
-
-    sizes, loose = _scan(anchor_at, dom.i, dom.d, dom.j)
-    scanned.reverse()
-    sequence: list[PGroup | Domain] = []
-    k = 0
-    for g, p in enumerate(sizes):
-        if p:
-            sequence.append(_make_group(tuple(scanned[k : k + p])))
-            k += p
-        if g < len(loose):
-            sequence.append(scanned[k])
-            k += 1
-    return CanonicalDecomposition(root=dom, sequence=tuple(sequence))
 
 
 def _budget(

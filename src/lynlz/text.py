@@ -41,10 +41,6 @@ class Span(_SpanFields):
     def _make(cls, iterable: Iterable[int]) -> "Span":
         return cls(*iterable)
 
-    @classmethod
-    def empty(cls, anchor: int) -> "Span":
-        return cls(anchor, anchor - 1)
-
     @property
     def length(self) -> int:
         return self.end - self.start + 1

@@ -181,7 +181,7 @@ def unit_run_domain(i: int, d: int, j: int) -> Domain:
     """Domain over a factorization whose runs all have length one."""
     if j < i:
         return Domain(i=i, d=d, j=j, span=Span(j, i - 1), associated=Span(j, j + d - 1))
-    return Domain(i=i, d=d, j=i, span=Span.empty(i), associated=Span(i, i + d - 1))
+    return Domain(i=i, d=d, j=i, span=Span(i, i - 1), associated=Span(i, i + d - 1))
 
 
 def sixteen_run_decomposition() -> CanonicalDecomposition:

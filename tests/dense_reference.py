@@ -50,7 +50,7 @@ def dense_table(lf: LyndonFactorization) -> dict[tuple[int, int], Domain]:
             a_end = runs[i + d - 2].end
             q = text.find(text[a_start - 1 : a_end], q - 1) + 1
             if q == a_start:
-                empty = Span.empty(a_start)
+                empty = Span(a_start, a_start - 1)
                 for e in range(d, m - i + 2):
                     table[(i, e)] = Domain(
                         i=i, d=e, j=i, span=empty, associated=Span(a_start, runs[i + e - 2].end)

@@ -9,10 +9,13 @@ so the catalogue cannot go stale unnoticed.
 Mutants of the speed rules keep every output, so only operation counts
 kill them: the bounds of ``TestGallopCalls`` and ``TestReads``, and the
 exact counts of ``TestPinnedWork`` and ``test_whole_cap_takes_no_slice``.
-Mutants of the canonical scan, the budget rule and the domain constructor
-die in the verifier's own reports and in the comparison with
-``tests/dense_reference.py``, which builds its own decompositions and
-budgets.
+Mutants of the canonical scan, the budget rule, the domain constructor,
+the group window and the verifier's checks die in the verifier's own
+reports and in the comparison with ``tests/dense_reference.py``, which
+builds its own decompositions, budgets and group windows; the comparison
+under injected faults kills those that only change failing counts.  The
+layer's search bounds keep every output, so ``TestLayerWork``'s byte
+bound kills them.
 """
 
 from __future__ import annotations
@@ -223,5 +226,101 @@ MUTANTS = (
         "if j >= i or runs[j - 1].start != q:",
         "if j >= i:",
         ("tests/test_domains.py::TestDenseReference::test_leftmost_occurrence_off_run_start",),
+    ),
+    # The layer: its row finds, the chain walk and the group window.
+    Mutant(
+        "layer-rows-ignore-head-bound",  # outputs unchanged
+        DOMAINS,
+        "q = head_q",
+        "q = 1",
+        ("tests/test_domains.py::TestLayerWork",),
+    ),
+    Mutant(
+        "layer-rows-restart-each-order",  # outputs unchanged
+        DOMAINS,
+        "q = text.find(needle, q - 1) + 1",
+        "q = text.find(needle, q - 1 if d == 1 else 0) + 1",
+        ("tests/test_domains.py::TestLayerWork",),
+    ),
+    Mutant(
+        "chain-walk-wrong-predecessor",
+        DOMAINS,
+        "if (first.i - 1, first.d + 1) in links:",
+        "if (first.i - 1, first.d - 1) in links:",
+        ("tests/test_domains.py::TestDenseReference::test_tandems_and_groups_match_dense_reference",),
+    ),
+    Mutant(
+        "group-window-starts-late",
+        DOMAINS,
+        "associated=Span(first.start + last.length, first.end),",
+        "associated=Span(first.start + last.length + 1, first.end),",
+        (
+            "tests/test_domains.py::TestVerifyLemmas::test_group_windows_starting_late_fail_concatenation",
+            "tests/test_domains.py::TestDenseReference::test_tandems_and_groups_match_dense_reference",
+        ),
+    ),
+    # The verifier's checks and their counts.
+    Mutant(
+        "window-rule-fails-at-p-minus-1",
+        DOMAINS,
+        "if lz.boundaries_in(g.associated) < g.p - 1:",
+        "if lz.boundaries_in(g.associated) <= g.p - 1:",
+        ("tests/test_domains.py::TestVerifyLemmas::test_exhaustive_small",),
+    ),
+    Mutant(
+        "window-rule-needs-p-minus-2",
+        DOMAINS,
+        "if lz.boundaries_in(g.associated) < g.p - 1:",
+        "if lz.boundaries_in(g.associated) < g.p - 2:",
+        ("tests/test_domains.py::TestDenseReference::test_reductions_under_injected_faults",),
+    ),
+    Mutant(
+        "factor-order-fallback-accepts-equal",
+        DOMAINS,
+        "if not factor_bytes[j - 1] > run_bytes[i - 1]:",
+        "if not factor_bytes[j - 1] >= run_bytes[i - 1]:",
+        ("tests/test_domains.py::TestDenseReference::test_factor_order_shortcut_under_broken_order",),
+    ),
+    Mutant(
+        "factor-order-fallback-witness-swapped",
+        DOMAINS,
+        'c.record(False, "j={} i={}", j, i)',
+        'c.record(False, "j={} i={}", i, j)',
+        ("tests/test_domains.py::TestDenseReference::test_factor_order_shortcut_under_broken_order",),
+    ),
+    Mutant(
+        "runs-between-bulk-add-keeps-failures",
+        DOMAINS,
+        "c.record_many(between - c.failures)",
+        "c.record_many(between)",
+        ("tests/test_domains.py::TestDenseReference::test_bulk_counts_under_injected_faults",),
+    ),
+    Mutant(
+        "higher-order-suffix-bulk-add-keeps-failures",
+        DOMAINS,
+        "c_suffix.record_many(m * (m - 1) // 2 - c_suffix.failures)",
+        "c_suffix.record_many(m * (m - 1) // 2)",
+        ("tests/test_domains.py::TestDenseReference::test_bulk_counts_under_injected_faults",),
+    ),
+    Mutant(
+        "decomposition-tiling-bulk-add-keeps-failures",
+        DOMAINS,
+        "c_tile.record_many(decomposed - c_tile.failures)",
+        "c_tile.record_many(decomposed)",
+        ("tests/test_domains.py::TestDenseReference::test_bulk_counts_under_injected_faults",),
+    ),
+    Mutant(
+        "group-concatenation-bulk-add-keeps-failures",
+        DOMAINS,
+        "c.record_many(len(groups) - c.failures)",
+        "c.record_many(len(groups))",
+        ("tests/test_domains.py::TestVerifyLemmas::test_group_windows_starting_late_fail_concatenation",),
+    ),
+    Mutant(
+        "laminarity-failure-unrecorded",
+        DOMAINS,
+        'c.record(False, "[{}..{}]", span.start, span.end)',
+        "pass",
+        ("tests/test_domains.py::TestDenseReference::test_bulk_counts_under_injected_faults",),
     ),
 )

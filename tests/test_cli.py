@@ -71,6 +71,30 @@ def test_modules_import_no_private_names(path):
     assert [name for name in imported if name.startswith("_")] == []
 
 
+def test_public_functions_have_callers():
+    # A public function, method or property of the package that nothing in
+    # src/ or perfbench/ names serves only its own tests.  Names are matched,
+    # not resolved: a method counts as called when any attribute read there
+    # has its name.
+    defined = []
+    for path in sorted((SRC / "lynlz").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner, members = (f"{node.name}.", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+            defined += [
+                (f"{path.name}: {owner}{f.name}", f.name)
+                for f in members
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            ]
+    named = set()
+    for path in [*SRC.rglob("*.py"), *(SRC.parent / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert [label for label, name in defined if name not in named] == []
+
+
 class TestLyndonCommand:
     def test_json_report(self, capsys):
         code, out = run(capsys, "lyndon", "--text", FIG_TEXT, "--format", "json")
@@ -251,7 +275,7 @@ def _dense_listing(lf, listed: list[Domain]) -> list[Domain]:
         dense += row
         start = runs[i - 1].start
         dense += [
-            Domain(i=i, d=d, j=i, span=Span.empty(start), associated=Span(start, runs[i + d - 2].end))
+            Domain(i=i, d=d, j=i, span=Span(start, start - 1), associated=Span(start, runs[i + d - 2].end))
             for d in range(len(row) + 1, m - i + 2)
         ]
     assert sum(1 for dom in dense if not dom.is_empty) == len(listed)

@@ -53,11 +53,11 @@ from lynlz.domains import (
     CHECK_NAMES,
     LemmaCheck,
     _budget,
-    _decompose,
     _domain,
     _empty_window_failures,
     _extent,
     _make_group,
+    _scan,
     _tiles,
 )
 from partition_reference import order1_partition
@@ -106,7 +106,7 @@ class TestComputeDomain:
     def test_empty_domain_of_second_run(self, fig_lf):
         dom = compute_domain(fig_lf, 2, 1)
         assert dom.is_empty and dom.j == 2 and dom.size == 0
-        assert dom.span == Span.empty(7)
+        assert dom.span == Span(7, 6)
         assert dom.associated == Span(7, 17)
 
     def test_empty_domain_keeps_higher_orders_empty(self, fig_lf):
@@ -405,12 +405,11 @@ class TestCanonicalDecomposition:
             canonical_decomposition(fig_lf, compute_domain(fig_lf, 2, 1))
 
     def test_scan_escaping_its_anchor_rejected(self):
-        # dom_2(F_3) anchors at F_1, left of the root's anchor F_2, so the
-        # root's runs cannot hold the decomposition.
-        dom = unit_run_domain
-        lookup = {(3, 2): dom(3, 2, 1)}
+        # dom_2(F_3) anchors at F_1, left of the root dom_1(F_4)'s anchor
+        # F_2, so the root's runs cannot hold the decomposition.
+        anchors = {(3, 2): 1}
         with pytest.raises(IntegrityError) as excinfo:
-            _decompose(dom(4, 1, 2), lambda t, order: lookup[t, order])
+            _scan(lambda t, order: anchors[t, order], 4, 1, 2)
         assert str(excinfo.value) == (
             "scan of dom(i=4, d=1) escaped its anchor: dom(i=3, d=2) anchors at 1 < 2"
         )
@@ -452,9 +451,10 @@ class TestCanonicalDecomposition:
         # of consecutive members of one maximal group, inside its window.
         shapes = Counter()
         for s in _reference_inputs():
-            layer = DomainLayer(lyndon_factorize(s))
+            lf = lyndon_factorize(s)
+            layer = DomainLayer(lf)
             for dom in chain.from_iterable(layer.rows):
-                for cluster in _decompose(dom, layer.domain).clusters:
+                for cluster in canonical_decomposition(lf, dom).clusters:
                     assert cluster == _make_group(cluster.members), s
                     assert {member.j for member in cluster.members} == {dom.j}, s
                     shapes[cluster.p >= 2] += 1
@@ -588,6 +588,24 @@ class TestVerifyLemmas:
             tracemalloc.stop()
         assert report.passed
         assert peak < 1 << 20
+
+    def test_group_windows_starting_late_fail_concatenation(self, monkeypatch):
+        # Every window starts one byte late, so each of a group's member
+        # pairs loses its first byte and the pairs' windows leave gaps: the
+        # groups of GROUP_BOTTOM_STRING with p = 3, 4, 5 fail, while a p = 2
+        # group is its one pair's window and still tiles.
+        def late(members):
+            g = _make_group(members)
+            return g._replace(associated=Span(g.associated.start + 1, g.associated.end))
+
+        monkeypatch.setattr("lynlz.domains._make_group", late)
+        assert [g.p for g in DomainLayer(lyndon_factorize(GROUP_BOTTOM_STRING)).groups] == [2, 3, 4, 5]
+        failed = {
+            c.name: (c.instances, c.failures, c.counterexample)
+            for c in verify_lemmas(GROUP_BOTTOM_STRING).checks
+            if c.failures
+        }
+        assert failed == {"group-window-concatenation": (4, 3, "i=1 p=3 d=1")}
 
     def test_domain_laminarity_counted(self, fig_lf):
         report = verify_lemmas(FIGURE_STRING)
@@ -739,7 +757,7 @@ class TestDenseReference:
         used = {node.id for node in nodes if isinstance(node, ast.Name)}
         used |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
         assert "_domain" in imported and "_dense_group" in used
-        shared = {"_make_group", "_decompose", "canonical_decomposition"}
+        shared = {"_make_group", "canonical_decomposition"}
         shared |= {"boundary_budget", "_scan", "_budget"}
         assert shared.isdisjoint(imported | used)
 

@@ -281,7 +281,7 @@ class TestContainsBoundary:
         # phrase starts it covers, and an empty window counts none.
         lz = lz_factorize(b"abab")
         assert lz.boundaries_in(Span(2, 5)) == 2
-        assert lz.boundaries_in(Span.empty(2)) == 0
+        assert lz.boundaries_in(Span(2, 1)) == 0
 
     def test_boundary_counting(self):
         lz = lz_factorize(FIGURE_STRING)

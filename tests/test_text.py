@@ -142,7 +142,7 @@ class TestSpan:
         assert sp.slice(FIGURE_STRING) == b"aba"
 
     def test_empty_marker(self):
-        sp = Span.empty(7)
+        sp = Span(7, 6)
         assert sp.is_empty
         assert sp.length == 0
         assert sp.slice(FIGURE_STRING) == b""
@@ -153,7 +153,7 @@ class TestSpan:
             Span(start, end)
 
     def test_replace_validates(self):
-        assert Span(2, 5)._replace(end=1) == Span.empty(2)
+        assert Span(2, 5)._replace(end=1) == Span(2, 1)
         with pytest.raises(ValueError, match=r"invalid span \[0\.\.5\]"):
             Span(2, 5)._replace(start=0)
         with pytest.raises(AttributeError):
@@ -162,9 +162,9 @@ class TestSpan:
     def test_contains_and_overlaps(self):
         outer, inner, disjoint = Span(2, 10), Span(3, 5), Span(11, 12)
         assert outer.contains(inner) and not inner.contains(outer)
-        assert outer.contains(Span.empty(4))
+        assert outer.contains(Span(4, 3))
         assert outer.overlaps(inner) and not outer.overlaps(disjoint)
-        assert not outer.overlaps(Span.empty(4))
+        assert not outer.overlaps(Span(4, 3))
 
 
 class TestGallop:
